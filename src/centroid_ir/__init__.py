@@ -20,7 +20,7 @@ from .evaluation import (EvalReport, average_precision, evaluate,
 from .index import (DEFAULT_LEAF_CAP, DEFAULT_SEED, DEFAULT_TREES,
                     CentroidIndex, build_exact, load_index, save_index)
 from .retrieval import (DEFAULT_K, Question, build_corpus_index, hybrid,
-                        import_external_run, load_questions, rerank, retrieve)
+                        load_questions, rerank, retrieve)
 from .runs import RankedRun, read_run, write_run
 from .rwmd import EmbeddedText, embed_text, rwmd_d, rwmd_max, rwmd_q
 from .text import TokenizedText, default_stopwords, load_stopwords, tokenize
@@ -36,7 +36,7 @@ __all__ = [
     "UnknownIds", "average_precision", "build_corpus_index", "build_exact",
     "centroid_idf", "centroid_simple", "compute_idf", "cosine",
     "default_stopwords", "document_frequencies", "embed_text", "evaluate",
-    "hybrid", "import_external_run", "interpolated_precision_curve",
+    "hybrid", "interpolated_precision_curve",
     "iter_corpus", "load_corpus", "load_embeddings", "load_idf", "load_index",
     "load_questions", "load_stopwords", "ndcg_at_k", "read_qrels", "read_run",
     "rerank", "report_table", "report_to_dict", "report_to_json", "retrieve",

@@ -18,6 +18,7 @@ abstracts run to hundreds of tokens and single precision drifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,15 +48,24 @@ class Centroid:
         return self.norm == 0.0
 
 
-def _zero(dim: int) -> Centroid:
-    return Centroid(vec=np.zeros(dim, dtype=np.float64), norm=0.0, n_known_tokens=0)
-
-
-def _weighted_centroid(store: EmbeddingStore, rows: list[int], weights: list[float],
-                       occurrences: int) -> Centroid:
+def _weighted_centroid(text: TokenizedText, store: EmbeddingStore,
+                       idf_of: Callable[[str], float] | None) -> Centroid:
+    """The shared accumulation; weight(w) = TF(w) * idf_of(w), or TF(w)."""
+    rows: list[int] = []
+    weights: list[float] = []
+    occurrences = 0
+    for token, tf in text.tf.items():
+        row = store.vocab.get(token)
+        if row is None:
+            continue
+        weight = float(tf) if idf_of is None else float(tf) * idf_of(token)
+        rows.append(row)
+        weights.append(weight)
+        if weight > 0.0:
+            occurrences += tf
     denom = float(sum(weights))
     if denom <= 0.0:
-        return _zero(store.dim)
+        return Centroid(vec=np.zeros(store.dim), norm=0.0, n_known_tokens=0)
     w = np.asarray(weights, dtype=np.float64)
     vecs = store.matrix[rows].astype(np.float64)
     vec = (w @ vecs) / denom
@@ -64,17 +74,7 @@ def _weighted_centroid(store: EmbeddingStore, rows: list[int], weights: list[flo
 
 def centroid_simple(text: TokenizedText, store: EmbeddingStore) -> Centroid:
     """Average of the in-vocabulary token embeddings, with multiplicity."""
-    rows: list[int] = []
-    weights: list[float] = []
-    occurrences = 0
-    for token, tf in text.tf.items():
-        row = store.vocab.get(token)
-        if row is None:
-            continue
-        rows.append(row)
-        weights.append(float(tf))
-        occurrences += tf
-    return _weighted_centroid(store, rows, weights, occurrences)
+    return _weighted_centroid(text, store, None)
 
 
 def centroid_idf(text: TokenizedText, store: EmbeddingStore) -> Centroid:
@@ -84,19 +84,7 @@ def centroid_idf(text: TokenizedText, store: EmbeddingStore) -> Centroid:
     count towards ``n_known_tokens``; if every weight is zero the result
     is the zero centroid.
     """
-    rows: list[int] = []
-    weights: list[float] = []
-    occurrences = 0
-    for token, tf in text.tf.items():
-        row = store.vocab.get(token)
-        if row is None:
-            continue
-        weight = float(tf) * store.idf_of(token)
-        rows.append(row)
-        weights.append(weight)
-        if weight > 0.0:
-            occurrences += tf
-    return _weighted_centroid(store, rows, weights, occurrences)
+    return _weighted_centroid(text, store, store.idf_of)
 
 
 def cosine(a, b) -> float:

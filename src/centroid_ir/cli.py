@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -141,7 +140,7 @@ def cmd_build_index(ns) -> int:
         idf_file = ns.idf_out or f"{ns.out}.idf"
         emb.save_idf(idf_file, store.idf, store.n_docs)
     save_index(index, ns.out)
-    meta = {"mode": ns.mode, "idf_file": idf_file, "k_default": DEFAULT_K}
+    meta = {"idf_file": idf_file}
     with open(_meta_path(ns.out), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
@@ -158,13 +157,14 @@ def _load_index_with_meta(ns):
     if os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    index.mode = meta.get("mode")
     return index, meta
 
 
 def cmd_search(ns) -> int:
     index, meta = _load_index_with_meta(ns)
-    mode = ns.mode or index.mode or "centidf"
+    mode = ns.mode or index.mode
+    if mode is None:
+        raise ConfigMismatch("index records no centroid mode; pass --mode")
     engine = ns.engine or ("ann" if index.n_trees else "exact")
     store = emb.load_embeddings(ns.embeddings)
     if mode == "centidf":
@@ -236,11 +236,10 @@ def cmd_evaluate(ns) -> int:
 
 def cmd_idf(ns) -> int:
     stopwords = _load_stopword_set(ns)
-    docs = (tokenize(record.text, stopwords) for record in iter_corpus(ns.corpus))
-    df, n_docs = emb.document_frequencies(docs)
-    idf = {token: math.log(n_docs / n) for token, n in df.items()} if n_docs else {}
-    emb.save_idf(ns.out, idf, n_docs)
-    _log(f"idf over {n_docs} documents, {len(idf)} tokens -> {ns.out}")
+    docs = [tokenize(record.text, stopwords) for record in iter_corpus(ns.corpus)]
+    idf = emb.compute_idf(docs)
+    emb.save_idf(ns.out, idf, len(docs))
+    _log(f"idf over {len(docs)} documents, {len(idf)} tokens -> {ns.out}")
     return 0
 
 
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         _log(f"error: {exc}")
         return 4
-    except (EngineError, EOFError, ValueError) as exc:
+    except (EngineError, ValueError) as exc:
         _log(f"error: {exc}")
         return 3
 

@@ -15,7 +15,7 @@ ln(n_docs), the value a df = 1 token would get.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class EmbeddingStore:
         self.n_docs = int(n_docs)
 
     def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
-        """Compute and attach IDF scores by streaming ``docs`` once."""
-        counted = _CountingIterator(docs)
-        idf = compute_idf(counted)
-        self.set_idf(idf, counted.count)
+        """Compute IDF scores over ``docs`` and attach them."""
+        docs = list(docs)
+        idf = compute_idf(docs)
+        self.set_idf(idf, len(docs))
         return idf
 
     def idf_of(self, token: str) -> float:
@@ -78,19 +78,6 @@ class EmbeddingStore:
         if not self.n_docs:
             return 0.0
         return math.log(self.n_docs)
-
-
-class _CountingIterator:
-    """Wraps an iterable and remembers how many items were consumed."""
-
-    def __init__(self, items: Iterable):
-        self._items = iter(items)
-        self.count = 0
-
-    def __iter__(self) -> Iterator:
-        for item in self._items:
-            self.count += 1
-            yield item
 
 
 def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int], int]:

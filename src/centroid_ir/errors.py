@@ -32,7 +32,7 @@ class DuplicateId(EngineError):
 
 
 class IndexFormatError(EngineError):
-    """An index file has a bad magic number or unsupported version."""
+    """An index file is malformed, truncated, corrupt or of another version."""
 
 
 class ConfigMismatch(EngineError):

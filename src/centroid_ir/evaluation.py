@@ -143,8 +143,10 @@ def evaluate(run, qrels: dict[str, set[str]], k_list=DEFAULT_NDCG_K,
     empty ranking.  Raises :class:`EvaluationError` when the run and
     the judged questions share no qid at all.  ``map_depth`` truncates
     the ranking for AP only, mirroring platforms that cut off at a
-    fixed depth.
+    fixed depth; it must be at least 1.
     """
+    if map_depth is not None and map_depth < 1:
+        raise ValueError(f"map_depth must be at least 1, got {map_depth}")
     per_run = run.per_question if isinstance(run, RankedRun) else dict(run)
     k_list = tuple(int(k) for k in k_list)
     eligible = {qid: rel for qid, rel in qrels.items() if rel}
@@ -158,7 +160,7 @@ def evaluate(run, qrels: dict[str, set[str]], k_list=DEFAULT_NDCG_K,
         ranking = [doc_id for doc_id, _ in per_run.get(qid, [])]
         curve = interpolated_precision_curve(ranking, rel)
         per_question[qid] = QuestionScores(
-            ap=average_precision(ranking[:map_depth] if map_depth else ranking, rel),
+            ap=average_precision(ranking if map_depth is None else ranking[:map_depth], rel),
             aip=float(curve.mean()),
             ip_curve=tuple(float(v) for v in curve),
             ndcg={k: ndcg_at_k(ranking, rel, k) for k in k_list},

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import struct
 import threading
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateId, IndexFormatError, StateError
 
 MAGIC = b"CRVI"
-VERSION = 1
+VERSION = 2
+
+MODES = ("cent", "centidf")
 
 DEFAULT_TREES = 100
 DEFAULT_LEAF_CAP = 32
@@ -86,8 +89,7 @@ class CentroidIndex:
     """Normalized document-centroid matrix plus an optional tree forest.
 
     ``mode`` records which centroid variant ("cent" or "centidf") the
-    rows were built from; it lives only in memory, the on-disk format
-    does not carry it.
+    rows were built from, or None when unknown; the index file keeps it.
     """
 
     def __init__(self, doc_ids, unit_matrix: np.ndarray, forest: list[Tree] | None = None,
@@ -110,7 +112,7 @@ class CentroidIndex:
         """Normalize centroid rows to unit length and index them.
 
         Zero centroids are kept as zero rows; they score 0 against every
-        query.  Duplicate document ids are rejected.
+        query.  Duplicate document ids and non-finite values are rejected.
         """
         ids = np.asarray(doc_ids, dtype=np.str_)
         matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -118,6 +120,8 @@ class CentroidIndex:
             raise ValueError("centroid matrix must be 2-dimensional")
         if ids.shape[0] != matrix.shape[0]:
             raise ValueError("doc_ids and matrix rows differ in length")
+        if not np.isfinite(matrix).all():
+            raise ValueError("centroid matrix has non-finite values")
         if ids.shape[0] >= 2**31:
             raise ValueError("index larger than supported (2^31 documents)")
         if np.unique(ids).shape[0] != ids.shape[0]:
@@ -163,6 +167,8 @@ class CentroidIndex:
         vec = np.asarray(getattr(q, "vec", q), dtype=np.float64)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"query of shape {vec.shape} against dim {self.dim}")
+        if not np.isfinite(vec).all():
+            raise ValueError("query vector has non-finite components")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             return None
@@ -285,6 +291,7 @@ class CentroidIndex:
         """Node-by-node equality of everything the index file persists."""
         return (
             self.dim == other.dim
+            and self.mode == other.mode
             and self.leaf_cap == other.leaf_cap
             and self.seed == other.seed
             and np.array_equal(self.doc_ids, other.doc_ids)
@@ -401,129 +408,145 @@ def _build_tree(X: np.ndarray, tree_id: int, seed: int, leaf_cap: int) -> Tree:
 
 
 # -- persistence -----------------------------------------------------------
+#
+# Little-endian throughout.  _HEADER: magic, version, dim, n_trees, n_docs,
+# leaf_cap, mode code, seed, CRC32 of the body.  The body is a run of
+# arrays, each zero-padded to a multiple of 8 bytes: int64 doc-id offsets
+# (n_docs + 1), the UTF-8 id bytes, the float32 unit matrix, then per tree
+# int64 [root, n_internal, n_leaves] followed by normals, offsets,
+# children, leaf_bounds and leaf_items exactly as :class:`Tree` holds them.
 
-_HEADER = struct.Struct("<4sIIQIIQ")
-_U32 = struct.Struct("<I")
-_F32 = struct.Struct("<f")
+_HEADER = struct.Struct("<4sIIIQIIQI4x")
+_MODE_CODES = (None, *MODES)
 
 
 def save_index(index: CentroidIndex, path) -> None:
-    """Write the index in its binary file format (see module docs)."""
+    """Write the index in its binary file format (layout above)."""
+    if index.mode not in _MODE_CODES:
+        raise ValueError(f"unknown centroid mode {index.mode!r}")
+    raw_ids = [str(doc_id).encode("utf-8") for doc_id in index.doc_ids]
+    sections = [
+        (np.cumsum([0, *map(len, raw_ids)]), "<i8"),
+        (np.frombuffer(b"".join(raw_ids), dtype=np.uint8), "u1"),
+        (index.unit_matrix, "<f4"),
+    ]
+    for tree in index.forest:
+        sections += [
+            ((tree.root, tree.n_internal, tree.n_leaves), "<i8"),
+            (tree.normals, "<f4"), (tree.offsets, "<f4"), (tree.children, "<i4"),
+            (tree.leaf_bounds, "<i8"), (tree.leaf_items, "<i4"),
+        ]
+    chunks = []
+    for values, dtype in sections:
+        raw = np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
+        chunks += [raw, bytes(-raw.size % 8)]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, index.dim, index.n_docs,
-                              index.n_trees, index.leaf_cap, index.seed))
-        for doc_id in index.doc_ids:
-            raw = str(doc_id).encode("utf-8")
-            fh.write(_U32.pack(len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(index.unit_matrix, dtype="<f4").tobytes())
-        for tree in index.forest:
-            fh.write(_serialize_tree(tree))
-
-
-def _serialize_tree(tree: Tree) -> bytes:
-    """Preorder node stream, left subtree before right."""
-    parts: list[bytes] = []
-    stack = [tree.root]
-    while stack:
-        ref = stack.pop()
-        if ref >= 0:
-            parts.append(b"\x00")
-            parts.append(tree.normals[ref].astype("<f4").tobytes())
-            parts.append(_F32.pack(float(tree.offsets[ref])))
-            left, right = tree.children[ref]
-            stack.append(int(right))
-            stack.append(int(left))
-        else:
-            items = tree.leaf(-ref - 1)
-            parts.append(b"\x01")
-            parts.append(_U32.pack(items.size))
-            parts.append(items.astype("<u4").tobytes())
-    return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        end = self.off + n
-        if end > len(self.data):
-            raise EOFError(f"{self.path}: truncated index file")
-        chunk = self.data[self.off:end]
-        self.off = end
-        return chunk
+        fh.write(_HEADER.pack(MAGIC, VERSION, index.dim, index.n_trees, index.n_docs,
+                              index.leaf_cap, _MODE_CODES.index(index.mode), index.seed, crc))
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def load_index(path) -> CentroidIndex:
-    """Read an index file; the byte-exact inverse of :func:`save_index`."""
+    """Read and validate an index file written by :func:`save_index`.
+
+    The file is read once; the matrix and tree arrays are read-only views
+    of that buffer.  Any inconsistency raises :class:`IndexFormatError`.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    magic, version, dim, n_docs, n_trees, leaf_cap, seed = _HEADER.unpack(
-        reader.take(_HEADER.size))
+        data = fh.read()
+
+    def bad(problem: str) -> IndexFormatError:
+        return IndexFormatError(f"{path}: {problem}")
+
+    if len(data) < _HEADER.size:
+        raise bad("truncated index file")
+    magic, version, dim, n_trees, n_docs, leaf_cap, mode_code, seed, crc = (
+        _HEADER.unpack_from(data))
     if magic != MAGIC:
-        raise IndexFormatError(f"{path}: bad magic {magic!r}")
+        raise bad(f"bad magic {magic!r}")
     if version != VERSION:
-        raise IndexFormatError(f"{path}: unsupported version {version}")
-    doc_ids = []
-    for _ in range(n_docs):
-        (length,) = _U32.unpack(reader.take(_U32.size))
-        doc_ids.append(reader.take(length).decode("utf-8"))
-    matrix = np.frombuffer(reader.take(n_docs * dim * 4), dtype="<f4")
-    matrix = matrix.reshape(n_docs, dim).copy()
-    forest = [_parse_tree(reader, dim, n_docs, path) for _ in range(n_trees)]
-    ids = np.asarray(doc_ids, dtype=np.str_) if doc_ids else np.empty(0, dtype=np.str_)
-    return CentroidIndex(ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed)
+        raise bad(f"unsupported version {version}")
+    if mode_code >= len(_MODE_CODES):
+        raise bad(f"unknown centroid mode code {mode_code}")
+    pos = _HEADER.size
+
+    def take(dtype, count: int) -> np.ndarray:
+        nonlocal pos
+        dtype = np.dtype(dtype)
+        end = pos + dtype.itemsize * count
+        if count < 0 or end + (-end % 8) > len(data):
+            raise bad("truncated index file")
+        arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        pos = end + (-end % 8)
+        return arr
+
+    id_offsets = take("<i8", n_docs + 1)
+    if id_offsets[0] != 0 or np.any(np.diff(id_offsets) < 0):
+        raise bad("document-id offsets do not rise from 0")
+    id_bytes = take("u1", int(id_offsets[-1])).tobytes()
+    matrix = take("<f4", n_docs * dim).reshape(n_docs, dim)
+    forest = []
+    for _ in range(n_trees):
+        root, n_internal, n_leaves = (int(v) for v in take("<i8", 3))
+        if n_internal < 0 or n_leaves < 0:
+            raise bad("negative node count")
+        forest.append(Tree(
+            normals=take("<f4", n_internal * dim).reshape(n_internal, dim),
+            offsets=take("<f4", n_internal),
+            children=take("<i4", 2 * n_internal).reshape(n_internal, 2),
+            leaf_bounds=take("<i8", n_leaves + 1),
+            leaf_items=take("<i4", n_docs),
+            root=root,
+        ))
+    if pos < len(data):
+        raise bad(f"{len(data) - pos} trailing bytes after the last section")
+    if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:
+        raise bad("checksum mismatch")
+    if not np.isfinite(matrix).all():
+        raise bad("non-finite value in the centroid matrix")
+    for t, tree in enumerate(forest):
+        problem = _tree_problem(tree, n_docs)
+        if problem:
+            raise bad(f"tree {t}: {problem}")
+    offsets = id_offsets.tolist()
+    try:
+        doc_ids = [id_bytes[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+    except UnicodeDecodeError:
+        raise bad("document id is not valid UTF-8") from None
+    return CentroidIndex(doc_ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed,
+                         mode=_MODE_CODES[mode_code])
 
 
-def _parse_tree(reader: _Reader, dim: int, n_docs: int, path) -> Tree:
-    normals: list[np.ndarray] = []
-    offsets: list[float] = []
-    children: list[list[int]] = []
-    leaf_chunks: list[np.ndarray] = []
-    pending: list[tuple[int, int]] = []
-    root = None
-    while True:
-        (tag,) = reader.take(1)
-        if tag == 0:
-            normal = np.frombuffer(reader.take(dim * 4), dtype="<f4").copy()
-            (offset,) = _F32.unpack(reader.take(4))
-            nid = len(normals)
-            normals.append(normal)
-            offsets.append(offset)
-            children.append([0, 0])
-            ref = nid
-        elif tag == 1:
-            (count,) = _U32.unpack(reader.take(_U32.size))
-            items = np.frombuffer(reader.take(count * 4), dtype="<u4").astype(np.int32)
-            lid = len(leaf_chunks)
-            leaf_chunks.append(items)
-            ref = -lid - 1
-        else:
-            raise IndexFormatError(f"{path}: bad node tag {tag}")
-        if root is None:
-            root = ref
-        else:
-            pid, side = pending.pop()
-            children[pid][side] = ref
-        if tag == 0:
-            pending.append((nid, 1))
-            pending.append((nid, 0))
-        if not pending:
-            break
-    sizes = np.array([c.size for c in leaf_chunks], dtype=np.int64)
-    if int(sizes.sum()) != n_docs:
-        raise IndexFormatError(f"{path}: tree leaves hold {int(sizes.sum())} items, "
-                               f"expected {n_docs}")
-    leaf_bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=leaf_bounds[1:])
-    return Tree(
-        normals=np.vstack(normals) if normals else np.zeros((0, dim), dtype=np.float32),
-        offsets=np.asarray(offsets, dtype=np.float32),
-        children=np.asarray(children, dtype=np.int32).reshape(-1, 2),
-        leaf_bounds=leaf_bounds,
-        leaf_items=np.concatenate(leaf_chunks) if leaf_chunks else np.empty(0, np.int32),
-        root=root if root is not None else -1,
-    )
+def _tree_problem(tree: Tree, n_docs: int) -> str | None:
+    """Why ``tree`` is not a partition tree over ``n_docs`` rows, or None.
+
+    Each node must be referenced exactly once, and an internal child must
+    have a larger id than its parent, as :func:`_build_tree`'s preorder
+    numbering gives; together these rule out cycles.
+    """
+    n_internal, n_leaves = tree.n_internal, tree.n_leaves
+    refs = np.concatenate(([tree.root], tree.children.ravel()))
+    if np.any((refs < -n_leaves) | (refs >= n_internal)):
+        return "node reference out of range"
+    nodes = np.where(refs >= 0, refs, n_internal - 1 - refs)
+    if not np.all(np.bincount(nodes, minlength=n_internal + n_leaves) == 1):
+        return "a node is not referenced exactly once"
+    parents = np.arange(n_internal)[:, None]
+    if np.any((tree.children >= 0) & (tree.children <= parents)):
+        return "an internal child does not follow its parent"
+    bounds, items = tree.leaf_bounds, tree.leaf_items
+    if bounds[0] != 0 or bounds[-1] != n_docs or np.any(np.diff(bounds) < 0):
+        return "leaf bounds do not run from 0 to the document count"
+    if np.any((items < 0) | (items >= n_docs)):
+        return "leaf item out of range"
+    covered = np.zeros(n_docs, dtype=bool)
+    covered[items] = True
+    if not covered.all():
+        return "leaf items are not a permutation of the rows"
+    if not (np.isfinite(tree.normals).all() and np.isfinite(tree.offsets).all()):
+        return "non-finite hyperplane"
+    return None

@@ -22,14 +22,13 @@ from .centroids import centroid_idf, centroid_simple
 from .corpus import DocumentRecord
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
-from .index import CentroidIndex, build_exact
-from .runs import RankedRun, read_run
+from .index import MODES, CentroidIndex, build_exact
+from .runs import RankedRun
 from .rwmd import SCORERS, embed_text
 from .text import TokenizedText, default_stopwords, tokenize
 
 DEFAULT_K = 1000
 
-MODES = ("cent", "centidf")
 ENGINES = ("exact", "ann")
 
 
@@ -217,11 +216,6 @@ def hybrid(primary_run: RankedRun, fallback_run: RankedRun) -> RankedRun:
         if qid not in per_question:
             per_question[qid] = list(entries)
     return RankedRun(tag="hybrid", per_question=per_question)
-
-
-def import_external_run(path, tag: str | None = None) -> RankedRun:
-    """Ingest a baseline engine's results from a TREC run file."""
-    return read_run(path, tag=tag)
 
 
 def build_corpus_index(

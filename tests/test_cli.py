@@ -3,7 +3,7 @@ import json
 import pytest
 
 from centroid_ir.cli import main
-from centroid_ir.index import load_index
+from centroid_ir.index import CentroidIndex, load_index, save_index
 
 
 @pytest.fixture
@@ -51,8 +51,9 @@ class TestBuildIndex:
         assert index.n_docs == 3
         assert index.n_trees == 4
         assert (workspace / "index.crvi.idf").exists()
+        assert index.mode == "centidf"
         meta = json.loads((workspace / "index.crvi.meta.json").read_text())
-        assert meta["mode"] == "centidf"
+        assert meta == {"idf_file": str(workspace / "index.crvi.idf")}
 
     def test_exact_engine_has_no_trees(self, workspace):
         assert build(workspace, "flat.crvi", "--engine", "exact") == 0
@@ -119,6 +120,13 @@ class TestSearch:
     def test_mode_mismatch_exit_3(self, workspace):
         build(workspace)
         assert self.search(workspace, "x.txt", "--mode", "cent") == 3
+
+    def test_index_without_mode_needs_flag(self, workspace):
+        ids = ["d1", "d2", "d3"]
+        save_index(CentroidIndex.from_matrix(ids, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+                   workspace / "index.crvi")
+        assert self.search(workspace) == 3
+        assert self.search(workspace, "run.txt", "--mode", "cent") == 0
 
     def test_byte_identical_reruns(self, workspace):
         build(workspace)
@@ -196,6 +204,14 @@ class TestEvaluateCommand:
         qrels.write_text("q1 0 d1 1\n")
         assert main(["evaluate", "--run", str(run), "--qrels", str(qrels)]) == 4
 
+    def test_map_depth_zero_exit_3(self, workspace):
+        run = workspace / "run.txt"
+        run.write_text("q1 Q0 d1 1 1.0 t\n")
+        qrels = workspace / "q.txt"
+        qrels.write_text("q1 0 d1 1\n")
+        assert main(["evaluate", "--run", str(run), "--qrels", str(qrels),
+                     "--map-depth", "0"]) == 3
+
 
 class TestIdfCommand:
     def test_writes_idf_file(self, workspace):
@@ -205,6 +221,13 @@ class TestIdfCommand:
         text = out.read_text().splitlines()
         assert text[0] == "#ndocs=3"
         assert any(line.startswith("apoptosis\t") for line in text)
+
+    def test_matches_build_index_idf(self, workspace):
+        assert build(workspace) == 0
+        out = workspace / "scores.idf"
+        assert main(["idf", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (workspace / "index.crvi.idf").read_bytes()
 
 
 class TestConfigFile:

@@ -197,6 +197,10 @@ class TestEvaluate:
         assert cut.map == 0.0
         assert cut.mean_ndcg[2] == full.mean_ndcg[2]
 
+    def test_map_depth_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate(self.run_of({"q1": ["a"]}), {"q1": {"a"}}, map_depth=0)
+
 
 class TestQrelsAndReports:
     def test_read_qrels(self, tmp_path):

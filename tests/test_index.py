@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,10 @@ class TestBuildExact:
         index = build_exact([("x", [0.0, 0.0]), ("y", [1.0, 0.0])])
         assert np.all(index.unit_matrix[0] == 0.0)
 
+    def test_nonfinite_row_rejected(self):
+        with pytest.raises(ValueError):
+            CentroidIndex.from_matrix(["a", "b"], np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(31)
         index, _ = gaussian_index(rng, 500, 13)
@@ -78,6 +84,15 @@ class TestExactTopk:
         index = build_exact([("a", [1.0, 0.0])])
         with pytest.raises(DimensionMismatch):
             index.exact_topk(np.array([1.0, 0.0, 0.0]), 1)
+
+    def test_nonfinite_query_rejected(self):
+        rng = np.random.default_rng(37)
+        index, _ = gaussian_index(rng, 50, 3)
+        index.build_forest(n_trees=2, leaf_cap=8, seed=1)
+        with pytest.raises(ValueError):
+            index.exact_topk(np.array([np.nan, 1.0, 0.0]), 5)
+        with pytest.raises(ValueError):
+            index.ann_topk(np.array([np.inf, 1.0, 0.0]), 5)
 
     def test_scores_are_cosines(self):
         rng = np.random.default_rng(32)
@@ -322,5 +337,140 @@ class TestPersistence:
         save_index(index, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(EOFError):
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+
+    def test_mode_roundtrip(self, tmp_path):
+        index = CentroidIndex.from_matrix(["a", "b"], np.eye(2), mode="cent")
+        path = tmp_path / "x.crvi"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.mode == "cent"
+        assert loaded.structural_eq(index)
+        loaded.mode = "centidf"
+        assert not loaded.structural_eq(index)
+
+    def test_saves_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(53)
+        index, _ = gaussian_index(rng, 300, 5)
+        index.build_forest(n_trees=3, leaf_cap=8, seed=4)
+        save_index(index, tmp_path / "a.crvi")
+        save_index(index, tmp_path / "b.crvi")
+        assert (tmp_path / "a.crvi").read_bytes() == (tmp_path / "b.crvi").read_bytes()
+
+    def test_unknown_mode_code(self, tmp_path):
+        path = tmp_path / "x.crvi"
+        save_index(build_exact([("a", [1.0, 0.0])]), path)
+        blob = bytearray(path.read_bytes())
+        blob[28:32] = (9).to_bytes(4, "little")  # the header's mode field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="mode"):
+            load_index(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        # One document "a" of dim 2 and no trees in the retired v1 layout:
+        # header, length-prefixed id, float32 row.
+        v1 = (struct.pack("<4sIIQIIQ", b"CRVI", 1, 2, 1, 0, 32, 42)
+              + struct.pack("<I", 1) + b"a" + np.array([1.0, 0.0], "<f4").tobytes())
+        path = tmp_path / "v1.crvi"
+        path.write_bytes(v1)
+        with pytest.raises(IndexFormatError, match="unsupported version"):
+            load_index(path)
+
+
+class TestCorruptIndex:
+    """Damage that must fail to load rather than yield a wrong ranking.
+
+    Array damage is made in memory and then saved, so the file carries a
+    valid checksum and only the structural checks stand in the way.
+    """
+
+    def saved(self, tmp_path, damage=None):
+        rng = np.random.default_rng(54)
+        index, _ = gaussian_index(rng, 100, 6)
+        index.build_forest(n_trees=2, leaf_cap=8, seed=3)
+        if damage is not None:
+            damage(index)
+        path = tmp_path / "x.crvi"
+        save_index(index, path)
+        return path
+
+    def test_intact_file_loads(self, tmp_path):
+        assert load_index(self.saved(tmp_path)).n_trees == 2
+
+    def test_leaf_item_all_ones(self, tmp_path):
+        def damage(index):
+            index.forest[1].leaf_items[5] = -1  # stored as 0xFFFFFFFF
+        with pytest.raises(IndexFormatError, match="leaf item out of range"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_duplicated_leaf_item(self, tmp_path):
+        def damage(index):
+            items = index.forest[0].leaf_items
+            items[1] = items[0]
+        with pytest.raises(IndexFormatError, match="permutation"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_child_ref_out_of_range(self, tmp_path):
+        def damage(index):
+            tree = index.forest[0]
+            tree.children[0, 1] = tree.n_internal + 3
+        with pytest.raises(IndexFormatError, match="out of range"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_child_cycle(self, tmp_path):
+        # Node 1 points back at node 0 and the root slot takes over the
+        # leaf it displaced: every node is still referenced once, but
+        # traversal would loop.
+        def damage(index):
+            tree = index.forest[0]
+            assert tree.children[0, 0] == 1
+            tree.root = int(tree.children[1, 0])
+            tree.children[1, 0] = 0
+        with pytest.raises(IndexFormatError, match="follow its parent"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_leaf_bounds_not_rising(self, tmp_path):
+        def damage(index):
+            bounds = index.forest[0].leaf_bounds
+            bounds[1], bounds[2] = bounds[2], bounds[1]
+        with pytest.raises(IndexFormatError, match="leaf bounds"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_nan_in_matrix(self, tmp_path):
+        def damage(index):
+            index.unit_matrix[0, 0] = np.nan
+        with pytest.raises(IndexFormatError, match="non-finite"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_nan_in_normal(self, tmp_path):
+        def damage(index):
+            index.forest[0].normals[0, 0] = np.nan
+        with pytest.raises(IndexFormatError, match="non-finite"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_flipped_body_byte(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="checksum"):
+            load_index(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(IndexFormatError, match="trailing"):
+            load_index(path)
+
+    def test_truncated_in_header(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(IndexFormatError, match="truncated"):
+            load_index(path)
+
+    def test_missing_final_padding(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(IndexFormatError, match="truncated"):
             load_index(path)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from centroid_ir import (DuplicateId, ParseError, RankedRun, load_corpus,
-                         import_external_run, iter_corpus, read_run, write_run)
+                         iter_corpus, read_run, write_run)
 
 
 class TestRunFiles:
@@ -74,7 +74,7 @@ class TestRunFiles:
     def test_import_external_alias(self, tmp_path):
         path = tmp_path / "run"
         path.write_text("q1 Q0 d7 1 12.5 pubmedse\n")
-        run = import_external_run(path)
+        run = read_run(path)
         assert run.tag == "pubmedse"
         assert run["q1"] == [("d7", 12.5)]
 
