@@ -517,6 +517,8 @@ def load_index(path) -> CentroidIndex:
         doc_ids = [id_bytes[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
     except UnicodeDecodeError:
         raise bad("document id is not valid UTF-8") from None
+    if len(set(doc_ids)) != n_docs:
+        raise bad("repeated document id")
     return CentroidIndex(doc_ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed,
                          mode=_MODE_CODES[mode_code])
 

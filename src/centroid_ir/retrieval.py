@@ -18,13 +18,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .centroids import centroid_idf, centroid_simple
 from .corpus import DocumentRecord
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
 from .index import MODES, CentroidIndex, build_exact
 from .runs import RankedRun
-from .rwmd import SCORERS, embed_text
+from .rwmd import SCORERS, embed_text, rwmd_many, token_rows
 from .text import TokenizedText, default_stopwords, tokenize
 
 DEFAULT_K = 1000
@@ -139,14 +141,19 @@ def rerank(
     """Reorder each question's documents by ascending relaxed WMD.
 
     The document set per question is preserved exactly; only the order
-    and the scores change (scores become distances).  ``depth`` limits
-    reranking to the top so-many documents, leaving the tail in its
-    original order behind them.  Ties break by ascending doc_id; texts
-    with no in-vocabulary tokens score +inf and sink to the bottom.
+    and the scores change (scores become distances).  ``depth`` (at least
+    1) limits reranking to the top so-many documents, leaving the tail in
+    its original order behind them.  Ties break by ascending doc_id;
+    texts with no in-vocabulary tokens score +inf and sink to the bottom.
+
+    Each distinct reranked document is tokenized once, up front, into
+    vocabulary-row ids; each question then takes one matrix product
+    against its documents' vocabulary (:func:`rwmd_many`).
     """
-    scorer = SCORERS.get(method)
-    if scorer is None:
+    if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
+    if depth is not None and depth < 1:
+        raise ValueError(f"rerank depth must be at least 1, got {depth}")
     if stopwords is None:
         stopwords = default_stopwords()
     question_texts = _as_question_map(questions)
@@ -164,29 +171,21 @@ def rerank(
     if missing_d:
         raise UnknownIds("run references documents missing from the corpus", missing_d)
 
-    doc_cache: dict[str, object] = {}
-
-    def embedded_doc(doc_id: str):
-        cached = doc_cache.get(doc_id)
-        if cached is None:
-            record = documents[doc_id]
-            cached = embed_text(tokenize(record.text, stopwords), store)
-            doc_cache[doc_id] = cached
-        return cached
+    doc_rows: dict[str, np.ndarray] = {}
+    for qid in active_qids:
+        for doc_id, _ in run.per_question[qid][:depth]:
+            if doc_id not in doc_rows:
+                doc_rows[doc_id] = token_rows(tokenize(documents[doc_id].text, stopwords), store)
 
     def one(qid: str) -> tuple[str, list[tuple[str, float]]]:
         entries = run.per_question[qid]
         if not entries:
             return qid, []
         q_emb = embed_text(tokenize(question_texts[qid], stopwords), store)
-        head = entries if depth is None else entries[:depth]
-        tail = entries if depth is None else entries[depth:]
-        scored = [(scorer(q_emb, embedded_doc(doc_id)), doc_id) for doc_id, _ in head]
-        scored.sort()
-        reranked = [(doc_id, score) for score, doc_id in scored]
-        if depth is not None:
-            reranked += tail
-        return qid, reranked
+        head = [doc_id for doc_id, _ in entries[:depth]]
+        dists = rwmd_many(q_emb, [doc_rows[doc_id] for doc_id in head], store, method)
+        reranked = [(doc_id, dist) for dist, doc_id in sorted(zip(dists.tolist(), head))]
+        return qid, reranked + list(entries[len(head):])
 
     qids = list(run.per_question)
     results = _map_questions(one, qids, threads)

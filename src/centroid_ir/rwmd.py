@@ -12,11 +12,18 @@ Distances are Euclidean over the word embedding vectors.  Duplicated
 tokens contribute once per occurrence.  An empty side is pushed to the
 bottom of any reranking: the directed sum over an empty source is 0, and
 against an empty target it is +inf.
+
+The per-pair functions ``rwmd_q``/``rwmd_d``/``rwmd_max`` are the
+reference definitions.  :func:`rwmd_many` computes the same values for
+one question against many documents given as vocabulary-row ids, with
+one matrix product against the union of their vocabulary (the
+linear-complexity RWMD of Atasu et al., 2017); reranking uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +65,12 @@ def embed_text(text: TokenizedText, store: EmbeddingStore) -> EmbeddedText:
     else:
         matrix = np.zeros((0, store.dim), dtype=np.float64)
     return EmbeddedText(tokens=tuple(kept), matrix=matrix)
+
+
+def token_rows(text: TokenizedText, store: EmbeddingStore) -> np.ndarray:
+    """Vocabulary rows of the in-vocabulary tokens of ``text``, in order."""
+    rows = [row for row in map(store.vocab.get, text.tokens) if row is not None]
+    return np.array(rows, dtype=np.intp)
 
 
 def _check_dims(a: EmbeddedText, b: EmbeddedText) -> None:
@@ -104,3 +117,61 @@ def rwmd_max(q: EmbeddedText, d: EmbeddedText) -> float:
 
 
 SCORERS = {"rwmd_q": rwmd_q, "rwmd_d": rwmd_d, "rwmd_max": rwmd_max}
+
+
+def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore,
+              method: str = "rwmd_q") -> np.ndarray:
+    """``SCORERS[method](q, d)`` for every document ``d``, as a float64 array.
+
+    ``q`` is a question as :func:`embed_text` gives it for ``store``; each
+    document is given by the vocabulary rows of its in-vocabulary tokens
+    (:func:`token_rows`).  One Gram expansion against the union U of those
+    rows gives the squared distance from every question token to every
+    word in play, with a question token's own row pinned to 0.  rwmd_q is
+    then a per-document segment minimum over U's columns, and rwmd_d the
+    column minimum over question tokens, summed per document token with
+    multiplicity.
+    """
+    if method not in SCORERS:
+        raise ValueError(f"unknown rwmd method {method!r}; expected one of {sorted(SCORERS)}")
+    if len(q) == 0:
+        to_q = np.zeros(len(docs))
+        to_d = np.array([np.inf if len(rows) else 0.0 for rows in docs])
+    else:
+        to_q, to_d = _sums_from_question(q, docs, store)
+    if method == "rwmd_q":
+        return to_q
+    if method == "rwmd_d":
+        return to_d
+    return np.maximum(to_q, to_d)
+
+
+def _sums_from_question(q: EmbeddedText, docs: Sequence[np.ndarray],
+                        store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+    """rwmd_q and rwmd_d of a non-empty question against each document."""
+    lengths = np.array([len(rows) for rows in docs], dtype=np.intp)
+    filled = np.flatnonzero(lengths)
+    # An empty document is an empty target for rwmd_q and an empty source
+    # for rwmd_d.  It is left out below: reduceat cannot take an empty
+    # segment.
+    to_q = np.full(len(docs), np.inf)
+    to_d = np.zeros(len(docs))
+    if filled.size == 0:
+        return to_q, to_d
+    union, cols = np.unique(np.concatenate([docs[i] for i in filled]), return_inverse=True)
+    starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
+    # Squared distances via the Gram expansion, as in _directed_sum.
+    u = store.matrix[union].astype(np.float64)
+    q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
+    u2 = np.einsum("ij,ij->i", u, u)
+    sq = q2[:, None] + u2[None, :] - 2.0 * (q.matrix @ u.T)
+    # A question token's own word is at distance exactly 0.
+    q_rows = np.array([store.vocab[token] for token in q.tokens], dtype=np.intp)
+    at = np.minimum(np.searchsorted(union, q_rows), len(union) - 1)
+    shared = union[at] == q_rows
+    sq[np.flatnonzero(shared), at[shared]] = 0.0
+    seg_min = np.minimum.reduceat(sq[:, cols], starts, axis=1)
+    to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
+    col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
+    to_d[filled] = np.add.reduceat(col_min[cols], starts)
+    return to_q, to_d

@@ -113,6 +113,11 @@ class TestSearch:
         assert lines[0].split()[5] == "centidf-ann-rwmdq"
         assert lines[0].split()[2] == "d1"  # contains the query token, distance 0
 
+    def test_rerank_depth_zero_exit_3(self, workspace):
+        build(workspace)
+        assert self.search(workspace, "x.txt", "--rerank", "rwmd_q", "--rerank-depth", "0",
+                           "--corpus", str(workspace / "corpus.jsonl")) == 3
+
     def test_rerank_needs_corpus(self, workspace):
         build(workspace)
         assert self.search(workspace, "x.txt", "--rerank", "rwmd_q") == 3
@@ -156,6 +161,18 @@ class TestRerankCommand:
         lines = (workspace / "reranked.txt").read_text().splitlines()
         assert lines[0].split()[2] == "d1"
         assert lines[0].split()[5] == "pubmedse-rwmdq"
+
+    def test_depth_zero_exit_3(self, workspace):
+        run = workspace / "external.txt"
+        run.write_text("q1 Q0 d2 1 5.0 pubmedse\nq1 Q0 d1 2 4.0 pubmedse\n")
+        out = workspace / "reranked.txt"
+        code = main(["rerank", "--run", str(run),
+                     "--questions", str(workspace / "questions.jsonl"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "vectors.txt"),
+                     "--out", str(out), "--rerank-depth", "0"])
+        assert code == 3
+        assert not out.exists()
 
 
 class TestHybridCommand:

@@ -474,3 +474,9 @@ class TestCorruptIndex:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(IndexFormatError, match="truncated"):
             load_index(path)
+
+    def test_repeated_doc_id(self, tmp_path):
+        path = tmp_path / "dup.crvi"
+        save_index(CentroidIndex(["a", "a"], np.eye(2)), path)
+        with pytest.raises(IndexFormatError, match="repeated document id"):
+            load_index(path)

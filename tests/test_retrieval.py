@@ -3,7 +3,9 @@ import pytest
 
 from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
                          Question, RankedRun, StateError, UnknownIds,
-                         build_corpus_index, hybrid, rerank, retrieve)
+                         build_corpus_index, embed_text, hybrid, rerank,
+                         retrieve, tokenize)
+from centroid_ir.rwmd import SCORERS
 from conftest import make_store, random_store
 
 STOP = frozenset({"the", "of", "and"})
@@ -181,6 +183,86 @@ class TestRerank:
         run = RankedRun(tag="x", per_question={"q1": [("da", 1.0)]})
         out = rerank(run, [Question("q1", "alpha")], docs, store, stopwords=STOP)
         assert out["q1"] == [("da", 0.0)]
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, toy, depth):
+        store, docs, _ = toy
+        run = RankedRun(tag="x", per_question={"q1": [("db", 0.9), ("da", 0.8)]})
+        with pytest.raises(ValueError, match="depth"):
+            rerank(run, {"q1": "alpha"}, docs, store, stopwords=STOP, depth=depth)
+
+
+class TestRerankMatchesPairwise:
+    """Every rerank distance against the per-pair scorer on the same texts."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(73)
+        store = random_store(rng, 40, 5)
+        words = list(store.vocab)
+        docs = {}
+        for i in range(24):
+            body = " ".join(rng.choice(words, size=rng.integers(1, 9)))
+            docs[f"d{i:02d}"] = DocumentRecord(id=f"d{i:02d}", title="", abstract=body)
+        docs["d05"] = DocumentRecord(id="d05", title="", abstract="w5 w9 w9")
+        docs["d12"] = DocumentRecord(id="d12", title="zzz", abstract="the qqq")  # all OOV
+        questions = {f"r{i}": " ".join(rng.choice(words, size=rng.integers(1, 6)))
+                     for i in range(6)}
+        questions.update({"stop": "the of and", "dup": "w1 w1 w2 w1", "shared": "w9 w5 w9"})
+        per_question = {}
+        for qid in questions:
+            order = [d for d in rng.permutation(sorted(docs)) if d != "d12"]
+            order.insert(11, "d12")  # an empty segment in the middle of the batch
+            per_question[qid] = [(d, float(rng.normal())) for d in order]
+        return store, docs, questions, RankedRun(tag="r", per_question=per_question)
+
+    @pytest.mark.parametrize("depth", [None, 7, 12])
+    @pytest.mark.parametrize("method", sorted(SCORERS))
+    def test_distances_and_order(self, case, method, depth):
+        store, docs, questions, run = case
+        out = rerank(run, questions, docs, store, method=method, stopwords=STOP, depth=depth)
+        for qid, entries in run.per_question.items():
+            cut = len(entries) if depth is None else depth
+            head, got = entries[:cut], out[qid][:cut]
+            assert out[qid][cut:] == entries[cut:]
+            assert sorted(d for d, _ in got) == sorted(d for d, _ in head)
+            assert got == sorted(got, key=lambda e: (e[1], e[0]))
+            q = embed_text(tokenize(questions[qid], STOP), store)
+            for doc_id, dist in got:
+                want = SCORERS[method](q, embed_text(tokenize(docs[doc_id].text, STOP), store))
+                assert dist == pytest.approx(want, rel=1e-12, abs=0.0), (qid, doc_id)
+
+    def test_edge_cases(self, case):
+        store, docs, questions, run = case
+        out = rerank(run, questions, docs, store, method="rwmd_q", stopwords=STOP)
+        # All stop words: every distance is 0 and the order is by id.
+        assert out["stop"] == [(d, 0.0) for d in sorted(docs)]
+        # The all-OOV document is at +inf behind everything else.
+        assert out["dup"][-1] == ("d12", float("inf"))
+        # Every question token is in d05: exactly 0, not rounding noise.
+        assert out["shared"][0] == ("d05", 0.0)
+
+    def test_equal_token_sets_tie_by_id(self):
+        rng = np.random.default_rng(79)
+        store = random_store(rng, 30, 6)
+        docs = {
+            "d3": DocumentRecord(id="d3", title="", abstract="w4 w8 w8 w15 zzz"),
+            "d1": DocumentRecord(id="d1", title="", abstract="w15 w4 w8"),
+            "d2": DocumentRecord(id="d2", title="", abstract="qqq w8 w4 w15 w4"),
+        }
+        run = RankedRun(tag="t", per_question={"q": [("d3", 3.0), ("d2", 2.0), ("d1", 1.0)]})
+        out = rerank(run, {"q": "w0 w1 w2 w3 w5 w6 w7 w9 w10 w11"}, docs, store,
+                     stopwords=STOP)
+        assert [d for d, _ in out["q"]] == ["d1", "d2", "d3"]
+        assert out["q"][0][1] == out["q"][1][1] == out["q"][2][1]
+
+    def test_threads_match_serial(self, case):
+        store, docs, questions, run = case
+        for method in sorted(SCORERS):
+            serial = rerank(run, questions, docs, store, method=method, stopwords=STOP)
+            threaded = rerank(run, questions, docs, store, method=method,
+                              stopwords=STOP, threads=4)
+            assert threaded.per_question == serial.per_question
 
 
 class TestHybrid:
