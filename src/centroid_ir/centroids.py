@@ -4,12 +4,13 @@ A text t with tokens w_1..w_n is represented by the weighted average
 
     c(t) = sum_j vec(w_j) * weight(w_j) / sum_j weight(w_j)
 
-where weight(w) = TF(w, t) for the simple centroid and
-weight(w) = TF(w, t) * IDF(w) for the IDF-weighted one.  Only in-vocabulary
-tokens participate; a text whose weights sum to zero (all tokens out of
-vocabulary, or all IDF scores zero) maps to the zero vector.  Because both
-variants run through the same accumulation, the IDF-weighted centroid
-degenerates to the simple one bit-for-bit when every IDF equals 1.
+over its in-vocabulary token occurrences, where weight(w) = 1 for the
+simple centroid and weight(w) = IDF(w) for the IDF-weighted one, so a
+word occurring TF times carries TF times its weight.  A text whose
+weights sum to zero (all tokens out of vocabulary, or all IDF scores
+zero) maps to the zero vector.  Because both variants run through the
+same accumulation, the IDF-weighted centroid degenerates to the simple
+one bit-for-bit when every IDF equals 1.
 
 Accumulation happens in float64 even though stored vectors are float32;
 abstracts run to hundreds of tokens and single precision drifts.
@@ -18,12 +19,11 @@ abstracts run to hundreds of tokens and single precision drifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, StateError
 from .text import TokenizedText
 
 
@@ -49,27 +49,19 @@ class Centroid:
 
 
 def _weighted_centroid(text: TokenizedText, store: EmbeddingStore,
-                       idf_of: Callable[[str], float] | None) -> Centroid:
-    """The shared accumulation; weight(w) = TF(w) * idf_of(w), or TF(w)."""
-    rows: list[int] = []
-    weights: list[float] = []
-    occurrences = 0
-    for token, tf in text.tf.items():
-        row = store.vocab.get(token)
-        if row is None:
-            continue
-        weight = float(tf) if idf_of is None else float(tf) * idf_of(token)
-        rows.append(row)
-        weights.append(weight)
-        if weight > 0.0:
-            occurrences += tf
-    denom = float(sum(weights))
+                       idf_rows: np.ndarray | None) -> Centroid:
+    """The shared accumulation, one weight per in-vocabulary occurrence.
+
+    The weights are ``idf_rows`` at the occurrences' rows, or ones.
+    """
+    rows = store.rows(text)
+    w = np.ones(rows.size) if idf_rows is None else idf_rows[rows]
+    denom = float(w.sum())
     if denom <= 0.0:
         return Centroid(vec=np.zeros(store.dim), norm=0.0, n_known_tokens=0)
-    w = np.asarray(weights, dtype=np.float64)
-    vecs = store.matrix[rows].astype(np.float64)
-    vec = (w @ vecs) / denom
-    return Centroid(vec=vec, norm=float(np.linalg.norm(vec)), n_known_tokens=occurrences)
+    vec = (w @ store.matrix[rows].astype(np.float64)) / denom
+    return Centroid(vec=vec, norm=float(np.linalg.norm(vec)),
+                    n_known_tokens=int(np.count_nonzero(w > 0.0)))
 
 
 def centroid_simple(text: TokenizedText, store: EmbeddingStore) -> Centroid:
@@ -84,7 +76,9 @@ def centroid_idf(text: TokenizedText, store: EmbeddingStore) -> Centroid:
     count towards ``n_known_tokens``; if every weight is zero the result
     is the zero centroid.
     """
-    return _weighted_centroid(text, store, store.idf_of)
+    if store.idf_rows is None:
+        raise StateError("IDF scores have not been computed or loaded")
+    return _weighted_centroid(text, store, store.idf_rows)
 
 
 def cosine(a, b) -> float:

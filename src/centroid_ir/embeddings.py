@@ -10,11 +10,16 @@ with df(w) the number of documents containing w at least once.  Since
 df >= 1 for every token that was observed, idf is always finite and
 non-negative; tokens never observed in the corpus default to
 ln(n_docs), the value a df = 1 token would get.
+
+The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
+too; ``idf_rows`` is the float64 vector over vocabulary rows that the
+centroid arithmetic reads.  :meth:`EmbeddingStore.rows` maps tokens to rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -39,8 +44,11 @@ class EmbeddingStore:
             raise ValueError("vocab size does not match matrix rows")
         self.vocab = vocab
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self.idf = idf
+        self.idf: dict[str, float] | None = None
+        self.idf_rows: np.ndarray | None = None
         self.n_docs = n_docs
+        if idf is not None:
+            self.set_idf(idf, n_docs or 0)
 
     @property
     def dim(self) -> int:
@@ -57,9 +65,19 @@ class EmbeddingStore:
         row = self.vocab.get(token)
         return None if row is None else self.matrix[row]
 
+    def rows(self, text: TokenizedText) -> np.ndarray:
+        """Vocabulary rows of the in-vocabulary tokens of ``text``, in order."""
+        rows = [row for row in map(self.vocab.get, text.tokens) if row is not None]
+        return np.array(rows, dtype=np.intp)
+
     def set_idf(self, idf: dict[str, float], n_docs: int) -> None:
+        """Attach an IDF table over ``n_docs`` documents and its row vector."""
         self.idf = dict(idf)
         self.n_docs = int(n_docs)
+        default = math.log(self.n_docs) if self.n_docs else 0.0
+        self.idf_rows = np.full(len(self.vocab), default)
+        for token, row in self.vocab.items():
+            self.idf_rows[row] = self.idf.get(token, default)
 
     def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
         """Compute IDF scores over ``docs`` and attach them."""
@@ -72,12 +90,7 @@ class EmbeddingStore:
         """Stored IDF, or the df = 1 ceiling ln(n_docs) for unseen tokens."""
         if self.idf is None:
             raise StateError("IDF scores have not been computed or loaded")
-        value = self.idf.get(token)
-        if value is not None:
-            return value
-        if not self.n_docs:
-            return 0.0
-        return math.log(self.n_docs)
+        return self.idf.get(token, math.log(self.n_docs) if self.n_docs else 0.0)
 
 
 def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int], int]:
@@ -86,28 +99,21 @@ def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int],
     Each document contributes its distinct tokens once.  Returns the df
     map and the number of documents consumed.
     """
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     n_docs = 0
     for doc in docs:
         n_docs += 1
-        tokens = doc.tf.keys() if isinstance(doc, TokenizedText) else set(doc)
-        for token in tokens:
-            df[token] = df.get(token, 0) + 1
-    return df, n_docs
+        df.update(set(doc.tokens))
+    return dict(df), n_docs
 
 
-def compute_idf(docs: Iterable[TokenizedText], n_docs: int | None = None) -> dict[str, float]:
+def compute_idf(docs: Iterable[TokenizedText]) -> dict[str, float]:
     """idf(w) = ln(n_docs / df(w)) over a stream of tokenized documents.
 
-    ``n_docs``, when given, must equal the number of streamed documents.
     An empty stream yields an empty map.
     """
-    df, counted = document_frequencies(docs)
-    if n_docs is not None and n_docs != counted:
-        raise ValueError(f"n_docs={n_docs} but {counted} documents were streamed")
-    if counted == 0:
-        return {}
-    return {token: math.log(counted / n) for token, n in df.items()}
+    df, n_docs = document_frequencies(docs)
+    return {token: math.log(n_docs / n) for token, n in df.items()}
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -116,10 +122,13 @@ def load_embeddings(path) -> EmbeddingStore:
     Format: optional first header line ``V D`` (two integers), then one
     line per word: the token followed by D decimal floats, whitespace
     separated.  The dimension is taken from the header or inferred from
-    the first vector line; later occurrences of a word win.
+    the first vector line; later occurrences of a word win.  A header's
+    V must equal the number of vector lines.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
+    n_header: int | None = None
+    n_lines = 0
     first_data_line = True
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -127,7 +136,7 @@ def load_embeddings(path) -> EmbeddingStore:
             if not fields:
                 continue
             if first_data_line and len(fields) == 2 and _both_ints(fields):
-                dim = int(fields[1])
+                n_header, dim = int(fields[0]), int(fields[1])
                 first_data_line = False
                 continue
             first_data_line = False
@@ -150,13 +159,13 @@ def load_embeddings(path) -> EmbeddingStore:
                 raise ParseError("vector component is not finite",
                                  line_no=line_no, path=path)
             vectors[token] = vec
+            n_lines += 1
     if dim is None:
         raise ParseError("embedding file contains no header and no vectors", path=path)
+    if n_header is not None and n_header != n_lines:
+        raise ParseError(f"header announces {n_header} vectors, file has {n_lines}", path=path)
     vocab = {token: row for row, token in enumerate(vectors)}
-    if vectors:
-        matrix = np.vstack(list(vectors.values()))
-    else:
-        matrix = np.zeros((0, dim), dtype=np.float32)
+    matrix = np.array(list(vectors.values()), dtype=np.float32).reshape(len(vectors), dim)
     return EmbeddingStore(vocab, matrix)
 
 
@@ -181,7 +190,11 @@ def save_idf(path, idf: dict[str, float], n_docs: int) -> None:
 
 
 def load_idf(path) -> tuple[dict[str, float], int]:
-    """Read an IDF file written by :func:`save_idf`."""
+    """Read an IDF file written by :func:`save_idf`.
+
+    Raises :class:`ParseError` for a negative ``#ndocs``, a negative or
+    non-finite value, and a token listed twice.
+    """
     idf: dict[str, float] = {}
     n_docs: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -195,14 +208,23 @@ def load_idf(path) -> tuple[dict[str, float], int]:
                         n_docs = int(line[len("#ndocs="):])
                     except ValueError:
                         raise ParseError("bad #ndocs header", line_no=line_no, path=path) from None
+                    if n_docs < 0:
+                        raise ParseError("negative #ndocs", line_no=line_no, path=path)
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError("expected token<TAB>idf", line_no=line_no, path=path)
+            token, text = parts
             try:
-                idf[parts[0]] = float(parts[1])
+                value = float(text)
             except ValueError:
                 raise ParseError("idf value is not a number", line_no=line_no, path=path) from None
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParseError("idf value is negative or not finite",
+                                 line_no=line_no, path=path)
+            if token in idf:
+                raise ParseError(f"repeated token {token!r}", line_no=line_no, path=path)
+            idf[token] = value
     if n_docs is None:
         raise ParseError("missing #ndocs header", path=path)
     return idf, n_docs

@@ -24,10 +24,10 @@ from .centroids import centroid_idf, centroid_simple
 from .corpus import DocumentRecord
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
-from .index import MODES, CentroidIndex, build_exact
+from .index import MODES, CentroidIndex
 from .runs import RankedRun
-from .rwmd import SCORERS, embed_text, rwmd_many, token_rows
-from .text import TokenizedText, default_stopwords, tokenize
+from .rwmd import SCORERS, embed_text, rwmd_many
+from .text import default_stopwords, tokenize
 
 DEFAULT_K = 1000
 
@@ -175,7 +175,7 @@ def rerank(
     for qid in active_qids:
         for doc_id, _ in run.per_question[qid][:depth]:
             if doc_id not in doc_rows:
-                doc_rows[doc_id] = token_rows(tokenize(documents[doc_id].text, stopwords), store)
+                doc_rows[doc_id] = store.rows(tokenize(documents[doc_id].text, stopwords))
 
     def one(qid: str) -> tuple[str, list[tuple[str, float]]]:
         entries = run.per_question[qid]
@@ -234,11 +234,10 @@ def build_corpus_index(
     if stopwords is None:
         stopwords = default_stopwords()
     records = list(documents)
-    ids = [record.id for record in records]
-    tokenized: list[TokenizedText] = [tokenize(record.text, stopwords) for record in records]
+    tokenized = [tokenize(record.text, stopwords) for record in records]
     if compute_idf:
-        store.compute_idf(iter(tokenized))
-    centroids = [make_centroid(text, store) for text in tokenized]
-    index = build_exact(list(zip(ids, centroids)))
-    index.mode = mode
-    return index
+        store.compute_idf(tokenized)
+    matrix = np.array([make_centroid(text, store).vec for text in tokenized])
+    # The reshape keeps an empty corpus a (0, dim) matrix.
+    return CentroidIndex.from_matrix([record.id for record in records],
+                                     matrix.reshape(len(records), store.dim), mode=mode)

@@ -53,24 +53,8 @@ class EmbeddedText:
 
 def embed_text(text: TokenizedText, store: EmbeddingStore) -> EmbeddedText:
     """Keep the in-vocabulary tokens of ``text`` and gather their vectors."""
-    kept: list[str] = []
-    rows: list[int] = []
-    for token in text.tokens:
-        row = store.vocab.get(token)
-        if row is not None:
-            kept.append(token)
-            rows.append(row)
-    if rows:
-        matrix = store.matrix[rows].astype(np.float64)
-    else:
-        matrix = np.zeros((0, store.dim), dtype=np.float64)
-    return EmbeddedText(tokens=tuple(kept), matrix=matrix)
-
-
-def token_rows(text: TokenizedText, store: EmbeddingStore) -> np.ndarray:
-    """Vocabulary rows of the in-vocabulary tokens of ``text``, in order."""
-    rows = [row for row in map(store.vocab.get, text.tokens) if row is not None]
-    return np.array(rows, dtype=np.intp)
+    kept = tuple(token for token in text.tokens if token in store.vocab)
+    return EmbeddedText(tokens=kept, matrix=store.matrix[store.rows(text)].astype(np.float64))
 
 
 def _check_dims(a: EmbeddedText, b: EmbeddedText) -> None:
@@ -124,12 +108,12 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
     """``SCORERS[method](q, d)`` for every document ``d``, as a float64 array.
 
     ``q`` is a question as :func:`embed_text` gives it for ``store``; each
-    document is given by the vocabulary rows of its in-vocabulary tokens
-    (:func:`token_rows`).  One Gram expansion against the union U of those
-    rows gives the squared distance from every question token to every
-    word in play, with a question token's own row pinned to 0.  rwmd_q is
-    then a per-document segment minimum over U's columns, and rwmd_d the
-    column minimum over question tokens, summed per document token with
+    document is given by its vocabulary rows (:meth:`EmbeddingStore.rows`).
+    One Gram expansion against the union U of those rows gives the
+    squared distance from every question token to every word in play,
+    with a question token's own row pinned to 0.  rwmd_q is then a
+    per-document segment minimum over U's columns, and rwmd_d the column
+    minimum over question tokens, summed per document token with
     multiplicity.
     """
     if method not in SCORERS:

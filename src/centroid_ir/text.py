@@ -10,9 +10,11 @@ words and single-digit tokens.  No stemming, no lemmatization.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from typing import Iterable
 
 # Letters and digits only: \w minus the underscore, Unicode-aware.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -20,28 +22,28 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 
 @dataclass(frozen=True)
 class TokenizedText:
-    """Tokens of one text in original order, plus their frequencies.
+    """Tokens of one text in original order, duplicates preserved.
 
-    ``sum(tf.values()) == len(tokens)`` always holds; ``tf`` counts every
-    occurrence, so duplicated tokens are preserved with multiplicity.
+    ``tf`` is derived on first use: ``sum(tf.values()) == len(tokens)``
+    always holds, since it counts every occurrence.
     """
 
     tokens: list[str] = field(default_factory=list)
-    tf: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.tokens)
 
+    @cached_property
+    def tf(self) -> dict[str, int]:
+        return dict(Counter(self.tokens))
+
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "TokenizedText":
-        tf: dict[str, int] = {}
-        for t in tokens:
-            tf[t] = tf.get(t, 0) + 1
-        return cls(tokens=tokens, tf=tf)
+        return cls(tokens=tokens)
 
 
 def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> TokenizedText:
-    """Lowercase ``text``, split on non-alphanumerics, filter, and count.
+    """Lowercase ``text``, split on non-alphanumerics, and filter.
 
     Filtering drops stop-word tokens and pure-digit tokens of length 1.
     Token order follows the input; empty input yields an empty result.
@@ -55,25 +57,20 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> T
     return TokenizedText.from_tokens(tokens)
 
 
+def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
+    """One token per line, lowercased; blank lines and ``#`` comments skipped."""
+    words = (line.strip() for line in lines)
+    return frozenset(word.lower() for word in words if word and not word.startswith("#"))
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file: UTF-8, one token per line, ``#`` comments."""
-    words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(word.lower())
-    return frozenset(words)
+        return _parse_stopwords(fh)
 
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     """The bundled English stop-word list."""
     text = resources.files("centroid_ir.data").joinpath("stopwords.txt").read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
+    return _parse_stopwords(text.splitlines())

@@ -78,3 +78,36 @@ def route_point(tree, x):
         side = 1 if proj >= float(tree.offsets[ref]) else 0
         ref = int(tree.children[ref][side])
     return -ref - 1
+
+
+def brute_centroid(tokens, vectors, idf, n_docs):
+    """c(t) = sum_j vec(w_j) weight(w_j) / sum_j weight(w_j), in Python floats.
+
+    The sum runs over the occurrences of tokens found in ``vectors`` (a
+    token -> list of floats map).  With ``idf`` None every weight is 1;
+    otherwise weight(w) is ``idf[w]``, or ln(n_docs) (0 for no documents)
+    when w is missing from the table.  Returns the centroid as a list
+    and the number of occurrences of positive weight; weights summing to
+    zero give the zero vector and 0.
+    """
+    dim = len(next(iter(vectors.values())))
+    total = [0.0] * dim
+    denom = 0.0
+    known = 0
+    for token in tokens:
+        if token not in vectors:
+            continue
+        if idf is None:
+            weight = 1.0
+        elif token in idf:
+            weight = idf[token]
+        else:
+            weight = math.log(n_docs) if n_docs else 0.0
+        for i, x in enumerate(vectors[token]):
+            total[i] += x * weight
+        denom += weight
+        if weight > 0.0:
+            known += 1
+    if denom <= 0.0:
+        return [0.0] * dim, 0
+    return [x / denom for x in total], known

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from centroid_ir import (DimensionMismatch, StateError, TokenizedText,
-                         centroid_idf, centroid_simple, cosine, tokenize)
+from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
+                         EmbeddingStore, StateError, TokenizedText,
+                         build_corpus_index, centroid_idf, centroid_simple,
+                         cosine, tokenize)
 from conftest import make_store, random_store
+from oracles import brute_centroid
 
 
 def text_of(*tokens):
@@ -134,3 +139,74 @@ def test_centroid_pipeline_with_tokenizer(ab_store):
     # to an empty result.
     text = tokenize("of the and", {"of", "the", "and"})
     assert centroid_simple(text, ab_store).is_zero
+
+
+class TestBruteCentroidOracle:
+    """Both centroid modes and the rows of build_corpus_index against the
+    formula of the centroids module docstring, evaluated in Python floats."""
+
+    def case(self, seed):
+        # Row order is a permutation of the vocab dict's order, a third of
+        # the vocabulary is missing from the IDF table, some IDFs are 0,
+        # and the table also scores out-of-vocabulary tokens.  The IDF
+        # reaches the store through the constructor.
+        rng = np.random.default_rng(seed)
+        n_words, dim, n_docs = 30, 5, int(rng.integers(0, 9))
+        words = [f"w{i}" for i in range(n_words)]
+        rows = rng.permutation(n_words)
+        matrix = rng.normal(size=(n_words, dim)).astype(np.float32)
+        vocab = {w: int(r) for w, r in zip(words, rows)}
+        idf = {w: float(v) for w, v in zip(words, rng.uniform(0.0, 3.0, n_words))
+               if rng.random() > 0.33}
+        zeros = [str(w) for w in rng.choice(words, size=4, replace=False)]
+        idf.update(dict.fromkeys(zeros, 0.0))
+        idf.update({"oov1": 2.5, "oov2": 0.5})
+        store = EmbeddingStore(vocab, matrix, idf=idf, n_docs=n_docs)
+        vectors = {w: matrix[vocab[w]].tolist() for w in words}
+        pool = words + ["oov1", "oov2", "oov3"]
+        texts = [rng.choice(pool, size=rng.integers(1, 30)).tolist() for _ in range(40)]
+        texts += [["oov1", "oov3", "oov3"], ["oov2"], zeros + ["oov1"]]
+        return store, vectors, idf, n_docs, texts
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_modes_match_oracle(self, seed):
+        store, vectors, idf, n_docs, texts = self.case(seed)
+        for tokens in texts:
+            text = TokenizedText.from_tokens(tokens)
+            for fn, table in ((centroid_simple, None), (centroid_idf, idf)):
+                cent = fn(text, store)
+                want, known = brute_centroid(tokens, vectors, table, n_docs)
+                np.testing.assert_allclose(cent.vec, want, rtol=0, atol=1e-12)
+                assert cent.n_known_tokens == known
+                assert cent.norm == pytest.approx(math.hypot(*want), rel=1e-12, abs=1e-300)
+                assert cent.is_zero == (known == 0)
+
+    def test_all_oov_is_zero_centroid(self):
+        store, vectors, idf, n_docs, _ = self.case(0)
+        for fn in (centroid_simple, centroid_idf):
+            cent = fn(TokenizedText.from_tokens(["oov1", "oov3"]), store)
+            assert cent.is_zero and cent.n_known_tokens == 0
+            assert np.array_equal(cent.vec, np.zeros(store.dim))
+
+    def test_unseen_vocab_token_gets_log_n_docs(self):
+        store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32),
+                               idf={"a": 0.5}, n_docs=7)
+        assert store.idf_rows.tolist() == [0.5, math.log(7)]
+        cent = centroid_idf(TokenizedText.from_tokens(["a", "b"]), store)
+        np.testing.assert_allclose(cent.vec, [0.5 / (0.5 + math.log(7)),
+                                              math.log(7) / (0.5 + math.log(7))],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cent", "centidf"])
+    def test_corpus_index_rows_match_oracle(self, seed, mode):
+        store, vectors, idf, n_docs, texts = self.case(seed)
+        records = [DocumentRecord(f"d{i}", "", " ".join(tokens))
+                   for i, tokens in enumerate(texts)]
+        index = build_corpus_index(records, store, mode=mode, stopwords=frozenset())
+        table = idf if mode == "centidf" else None
+        want = [brute_centroid(tokens, vectors, table, n_docs)[0] for tokens in texts]
+        expected = CentroidIndex.from_matrix([r.id for r in records], np.array(want), mode=mode)
+        assert index.mode == mode
+        assert index.doc_ids.tolist() == expected.doc_ids.tolist()
+        np.testing.assert_allclose(index.unit_matrix, expected.unit_matrix, rtol=0, atol=1e-12)

@@ -51,6 +51,19 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError):
             load_embeddings(_write(tmp_path, ""))
 
+    @pytest.mark.parametrize("content", [
+        "5 2\na 1.0 0.0\nb 0.0 1.0\n",          # truncated
+        "1 2\na 1.0 0.0\nb 0.0 1.0\n",          # more lines than announced
+        "2 2\na 1.0 0.0\na 0.0 1.0\nb 1.0 1.0\n",  # header counts lines, not words
+    ])
+    def test_header_count_must_match_lines(self, tmp_path, content):
+        with pytest.raises(ParseError, match="header announces"):
+            load_embeddings(_write(tmp_path, content))
+
+    def test_header_counts_repeated_word_lines(self, tmp_path):
+        store = load_embeddings(_write(tmp_path, "2 2\na 1.0 0.0\na 0.5 0.5\n"))
+        assert len(store) == 1
+
 
 class TestComputeIdf:
     def docs(self, *token_lists):
@@ -71,10 +84,6 @@ class TestComputeIdf:
 
     def test_empty_corpus(self):
         assert compute_idf([]) == {}
-
-    def test_n_docs_must_match(self):
-        with pytest.raises(ValueError):
-            compute_idf(self.docs(["w"]), n_docs=3)
 
     def test_multiplicity_counts_once(self):
         df, n = document_frequencies(self.docs(["w", "w", "w"], ["x"]))
@@ -150,3 +159,23 @@ class TestIdfFile:
         path.write_text("word\t1.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_idf(path)
+
+    @pytest.mark.parametrize("content, line", [
+        ("#ndocs=-3\na\t1.0\n", 1),
+        ("#ndocs=4\na\t1.0\nb\t-2.0\n", 3),
+        ("#ndocs=4\nb\tnan\n", 2),
+        ("#ndocs=4\nc\tinf\n", 2),
+        ("#ndocs=4\nc\t-inf\n", 2),
+        ("#ndocs=4\na\t1.0\nb\t0.5\na\t2.0\n", 4),
+    ])
+    def test_corrupt_table_names_line(self, tmp_path, content, line):
+        path = tmp_path / "bad.idf"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}:") as err:
+            load_idf(path)
+        assert err.value.line_no == line
+
+    def test_zero_values_and_zero_docs_accepted(self, tmp_path):
+        path = tmp_path / "zero.idf"
+        path.write_text("#ndocs=0\na\t0.0\nb\t-0.0\n", encoding="utf-8")
+        assert load_idf(path) == ({"a": 0.0, "b": 0.0}, 0)

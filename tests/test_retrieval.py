@@ -340,3 +340,9 @@ class TestBuildCorpusIndex:
         index = build_corpus_index(docs, store, mode="cent", stopwords=STOP)
         assert np.all(index.unit_matrix[0] == 0.0)
         assert np.allclose(index.unit_matrix[1], [1.0, 0.0])
+
+    def test_empty_corpus_keeps_store_dim(self):
+        store = make_store({"alpha": [1.0, 0.0, 0.0]})
+        index = build_corpus_index([], store, mode="cent", stopwords=STOP)
+        assert index.n_docs == 0
+        assert index.unit_matrix.shape == (0, 3)
