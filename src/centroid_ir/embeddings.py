@@ -29,7 +29,11 @@ from .text import TokenizedText
 
 
 class EmbeddingStore:
-    """Vocabulary -> dense vector lookups, with optional IDF scores."""
+    """Vocabulary -> dense vector lookups, with optional IDF scores.
+
+    ``vocab`` maps each word to its matrix row, and the rows are
+    0..V-1, each once, so a row identifies its word.
+    """
 
     def __init__(
         self,
@@ -42,6 +46,9 @@ class EmbeddingStore:
             raise ValueError("embedding matrix must be 2-dimensional")
         if len(vocab) != matrix.shape[0]:
             raise ValueError("vocab size does not match matrix rows")
+        if (not all(isinstance(row, (int, np.integer)) for row in vocab.values())
+                or sorted(vocab.values()) != list(range(len(vocab)))):
+            raise ValueError("vocab rows must be the integers 0..V-1, each once")
         self.vocab = vocab
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.idf: dict[str, float] | None = None

@@ -65,13 +65,9 @@ def average_precision(ranking, rel: set[str]) -> float:
     """AP of one ranking against a non-empty relevant set."""
     if not rel:
         raise ValueError("relevant set must be non-empty")
-    hits = 0
-    total = 0.0
-    for i, doc_id in enumerate(ranking, start=1):
-        if doc_id in rel:
-            hits += 1
-            total += hits / i
-    return total / len(rel)
+    _, precisions = _precision_recall_points(ranking, rel)
+    # A sequential Python sum: np.sum's pairwise order can change the last bits.
+    return float(sum(precisions.tolist())) / len(rel)
 
 
 def _precision_recall_points(ranking, rel: set[str]) -> tuple[np.ndarray, np.ndarray]:

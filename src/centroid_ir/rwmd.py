@@ -8,16 +8,17 @@ to its single nearest word in the other:
     rwmd_d(q, d) = sum over w' in d of min over w in q of   ||w - w'||
     rwmd_max     = max(rwmd_q, rwmd_d)
 
-Distances are Euclidean over the word embedding vectors.  Duplicated
-tokens contribute once per occurrence.  An empty side is pushed to the
-bottom of any reranking: the directed sum over an empty source is 0, and
-against an empty target it is +inf.
+Distances are Euclidean over the word embedding vectors.  A word is its
+vocabulary row: a row present on both sides is at distance exactly 0.
+Duplicated rows contribute once per occurrence.  An empty side is pushed
+to the bottom of any reranking: the directed sum over an empty source is
+0, and against an empty target it is +inf.
 
 The per-pair functions ``rwmd_q``/``rwmd_d``/``rwmd_max`` are the
 reference definitions.  :func:`rwmd_many` computes the same values for
-one question against many documents given as vocabulary-row ids, with
-one matrix product against the union of their vocabulary (the
-linear-complexity RWMD of Atasu et al., 2017); reranking uses it.
+one question against many documents given as vocabulary rows, with one
+matrix product against the union of those rows (the linear-complexity
+RWMD of Atasu et al., 2017); reranking uses it.
 """
 
 from __future__ import annotations
@@ -34,17 +35,28 @@ from .text import TokenizedText
 
 @dataclass(frozen=True)
 class EmbeddedText:
-    """In-vocabulary tokens of a text, in order, with their vectors.
+    """Vocabulary rows of a text's in-vocabulary tokens, in order, with
+    their vectors.
 
-    ``matrix`` has one row per token occurrence (duplicates preserved),
-    shape (n, dim); out-of-vocabulary tokens are absent entirely.
+    ``rows`` is a 1-D integer array and ``matrix`` has shape (len(rows),
+    dim), one vector per row; duplicates are preserved and equal rows
+    are the same word.  Out-of-vocabulary tokens are absent entirely.
     """
 
-    tokens: tuple[str, ...]
+    rows: np.ndarray
     matrix: np.ndarray
 
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ValueError("rows must be 1-dimensional")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(rows):
+            raise ValueError(f"matrix of shape {self.matrix.shape} does not hold "
+                             f"one vector per row for {len(rows)} rows")
+        object.__setattr__(self, "rows", rows)
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.rows)
 
     @property
     def dim(self) -> int:
@@ -52,9 +64,9 @@ class EmbeddedText:
 
 
 def embed_text(text: TokenizedText, store: EmbeddingStore) -> EmbeddedText:
-    """Keep the in-vocabulary tokens of ``text`` and gather their vectors."""
-    kept = tuple(token for token in text.tokens if token in store.vocab)
-    return EmbeddedText(tokens=kept, matrix=store.matrix[store.rows(text)].astype(np.float64))
+    """The vocabulary rows of ``text`` and their float64 vectors."""
+    rows = store.rows(text)
+    return EmbeddedText(rows=rows, matrix=store.matrix[rows].astype(np.float64))
 
 
 def _check_dims(a: EmbeddedText, b: EmbeddedText) -> None:
@@ -63,7 +75,7 @@ def _check_dims(a: EmbeddedText, b: EmbeddedText) -> None:
 
 
 def _directed_sum(src: EmbeddedText, dst: EmbeddedText) -> float:
-    """Sum over src tokens of the Euclidean distance to the nearest dst token."""
+    """Sum over src words of the Euclidean distance to the nearest dst word."""
     if len(src) == 0:
         return 0.0
     if len(dst) == 0:
@@ -72,13 +84,9 @@ def _directed_sum(src: EmbeddedText, dst: EmbeddedText) -> float:
     s2 = np.einsum("ij,ij->i", src.matrix, src.matrix)
     d2 = np.einsum("ij,ij->i", dst.matrix, dst.matrix)
     sq = s2[:, None] + d2[None, :] - 2.0 * (src.matrix @ dst.matrix.T)
-    # A token present on both sides has true distance exactly 0; pin it
+    # A word present on both sides has true distance exactly 0; pin it
     # so cancellation noise from the expansion cannot leak in.
-    dst_pos = {token: i for i, token in enumerate(dst.tokens)}
-    for i, token in enumerate(src.tokens):
-        j = dst_pos.get(token)
-        if j is not None:
-            sq[i, j] = 0.0
+    sq[src.rows[:, None] == dst.rows[None, :]] = 0.0
     mins = np.maximum(sq.min(axis=1), 0.0)
     return float(np.sqrt(mins).sum())
 
@@ -110,52 +118,37 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
     ``q`` is a question as :func:`embed_text` gives it for ``store``; each
     document is given by its vocabulary rows (:meth:`EmbeddingStore.rows`).
     One Gram expansion against the union U of those rows gives the
-    squared distance from every question token to every word in play,
-    with a question token's own row pinned to 0.  rwmd_q is then a
+    squared distance from every question word to every word in play,
+    with a question word's own row pinned to 0.  rwmd_q is then a
     per-document segment minimum over U's columns, and rwmd_d the column
-    minimum over question tokens, summed per document token with
+    minimum over question words, summed per document word with
     multiplicity.
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rwmd method {method!r}; expected one of {sorted(SCORERS)}")
-    if len(q) == 0:
-        to_q = np.zeros(len(docs))
-        to_d = np.array([np.inf if len(rows) else 0.0 for rows in docs])
-    else:
-        to_q, to_d = _sums_from_question(q, docs, store)
+    lengths = np.array([len(rows) for rows in docs], dtype=np.intp)
+    filled = np.flatnonzero(lengths)
+    # The empty-side values: an empty source sums to 0, and an empty
+    # target gives +inf.  Pairs with both sides filled are overwritten
+    # below; empty documents stay out, as reduceat cannot take an empty
+    # segment.
+    to_q = np.full(len(docs), np.inf if len(q) else 0.0)
+    to_d = np.where(lengths > 0, np.inf, 0.0)
+    if len(q) and filled.size:
+        union, cols = np.unique(np.concatenate([docs[i] for i in filled]), return_inverse=True)
+        starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
+        # Squared distances via the Gram expansion, as in _directed_sum.
+        u = store.matrix[union].astype(np.float64)
+        q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
+        u2 = np.einsum("ij,ij->i", u, u)
+        sq = q2[:, None] + u2[None, :] - 2.0 * (q.matrix @ u.T)
+        sq[q.rows[:, None] == union[None, :]] = 0.0
+        seg_min = np.minimum.reduceat(sq[:, cols], starts, axis=1)
+        to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
+        col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
+        to_d[filled] = np.add.reduceat(col_min[cols], starts)
     if method == "rwmd_q":
         return to_q
     if method == "rwmd_d":
         return to_d
     return np.maximum(to_q, to_d)
-
-
-def _sums_from_question(q: EmbeddedText, docs: Sequence[np.ndarray],
-                        store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
-    """rwmd_q and rwmd_d of a non-empty question against each document."""
-    lengths = np.array([len(rows) for rows in docs], dtype=np.intp)
-    filled = np.flatnonzero(lengths)
-    # An empty document is an empty target for rwmd_q and an empty source
-    # for rwmd_d.  It is left out below: reduceat cannot take an empty
-    # segment.
-    to_q = np.full(len(docs), np.inf)
-    to_d = np.zeros(len(docs))
-    if filled.size == 0:
-        return to_q, to_d
-    union, cols = np.unique(np.concatenate([docs[i] for i in filled]), return_inverse=True)
-    starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
-    # Squared distances via the Gram expansion, as in _directed_sum.
-    u = store.matrix[union].astype(np.float64)
-    q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
-    u2 = np.einsum("ij,ij->i", u, u)
-    sq = q2[:, None] + u2[None, :] - 2.0 * (q.matrix @ u.T)
-    # A question token's own word is at distance exactly 0.
-    q_rows = np.array([store.vocab[token] for token in q.tokens], dtype=np.intp)
-    at = np.minimum(np.searchsorted(union, q_rows), len(union) - 1)
-    shared = union[at] == q_rows
-    sq[np.flatnonzero(shared), at[shared]] = 0.0
-    seg_min = np.minimum.reduceat(sq[:, cols], starts, axis=1)
-    to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
-    col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
-    to_d[filled] = np.add.reduceat(col_min[cols], starts)
-    return to_q, to_d

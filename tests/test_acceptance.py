@@ -174,23 +174,23 @@ def test_rwmd_invariants():
     with criterion("relaxed WMD invariants", budget_s=60.0):
         rng = np.random.default_rng(105)
 
-        def sample(dim, lo=1, hi=10, prefix="t"):
+        def sample(dim, lo=1, hi=10, offset=0):
             size = int(rng.integers(lo, hi))
-            tokens = tuple(f"{prefix}{i}_{rng.integers(0, 5)}" for i in range(size))
-            return EmbeddedText(tokens=tokens, matrix=rng.normal(size=(size, dim)))
+            rows = [offset + 5 * i + int(rng.integers(0, 5)) for i in range(size)]
+            return EmbeddedText(rows=rows, matrix=rng.normal(size=(size, dim)))
 
         for _ in range(1000):
             dim = int(rng.integers(2, 7))
             q, d = sample(dim), sample(dim)
             assert rwmd_q(q, q) == 0.0
             assert rwmd_d(d, d) == 0.0
-            extra = sample(dim, prefix="u")
-            grown = EmbeddedText(tokens=d.tokens + extra.tokens,
+            extra = sample(dim, offset=1000)
+            grown = EmbeddedText(rows=np.concatenate([d.rows, extra.rows]),
                                  matrix=np.vstack([d.matrix, extra.matrix]))
             assert rwmd_q(q, grown) <= rwmd_q(q, d) + 1e-9
             shift = rng.normal(size=dim)
-            q_shift = EmbeddedText(q.tokens, q.matrix + shift)
-            d_shift = EmbeddedText(d.tokens, d.matrix + shift)
+            q_shift = EmbeddedText(q.rows, q.matrix + shift)
+            d_shift = EmbeddedText(d.rows, d.matrix + shift)
             assert abs(rwmd_q(q_shift, d_shift) - rwmd_q(q, d)) < 1e-9
             assert abs(rwmd_d(q_shift, d_shift) - rwmd_d(q, d)) < 1e-9
             assert rwmd_max(q, d) == max(rwmd_q(q, d), rwmd_d(q, d))

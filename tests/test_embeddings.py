@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from centroid_ir import (DimensionMismatch, ParseError, StateError,
-                         TokenizedText, compute_idf, document_frequencies,
-                         load_embeddings, load_idf, save_idf)
+from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
+                         StateError, TokenizedText, compute_idf,
+                         document_frequencies, load_embeddings, load_idf,
+                         save_idf)
 from conftest import make_store
 
 
@@ -63,6 +64,22 @@ class TestLoadEmbeddings:
     def test_header_counts_repeated_word_lines(self, tmp_path):
         store = load_embeddings(_write(tmp_path, "2 2\na 1.0 0.0\na 0.5 0.5\n"))
         assert len(store) == 1
+
+
+class TestStoreRows:
+    @pytest.mark.parametrize("vocab", [
+        {"a": -1, "b": 0},      # a negative row reads another word's vector
+        {"a": 0, "b": 0},       # row 1 unreachable
+        {"a": 0, "b": 5},       # past the matrix
+        {"a": 0.0, "b": 1.0},   # not integers
+    ])
+    def test_rows_must_cover_each_row_once(self, vocab):
+        with pytest.raises(ValueError, match="0..V-1"):
+            EmbeddingStore(vocab, np.eye(2, dtype=np.float32))
+
+    def test_permuted_rows_accepted(self):
+        store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32))
+        assert store.rows(TokenizedText.from_tokens(["a", "b"])).tolist() == [0, 1]
 
 
 class TestComputeIdf:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
-                         Question, RankedRun, StateError, UnknownIds,
-                         build_corpus_index, embed_text, hybrid, rerank,
-                         retrieve, tokenize)
+                         EmbeddingStore, Question, RankedRun, StateError,
+                         UnknownIds, build_corpus_index, embed_text, hybrid,
+                         rerank, retrieve, tokenize)
 from centroid_ir.rwmd import SCORERS
 from conftest import make_store, random_store
 
@@ -195,10 +195,16 @@ class TestRerank:
 class TestRerankMatchesPairwise:
     """Every rerank distance against the per-pair scorer on the same texts."""
 
+    permuted_rows = False
+
     @pytest.fixture
     def case(self):
         rng = np.random.default_rng(73)
         store = random_store(rng, 40, 5)
+        if self.permuted_rows:
+            perm = np.random.default_rng(74).permutation(len(store))
+            store = EmbeddingStore({w: int(r) for w, r in zip(store.vocab, perm)},
+                                   store.matrix)
         words = list(store.vocab)
         docs = {}
         for i in range(24):
@@ -263,6 +269,13 @@ class TestRerankMatchesPairwise:
             threaded = rerank(run, questions, docs, store, method=method,
                               stopwords=STOP, threads=4)
             assert threaded.per_question == serial.per_question
+
+
+class TestRerankMatchesPairwisePermutedRows(TestRerankMatchesPairwise):
+    """The same checks on a store whose row order is a permutation of its
+    vocab dict's order."""
+
+    permuted_rows = True
 
 
 class TestHybrid:
