@@ -161,6 +161,8 @@ def _load_index_with_meta(ns):
 
 
 def cmd_search(ns) -> int:
+    if ns.rerank != "none" and not ns.corpus:
+        raise ConfigMismatch("--rerank needs --corpus for document texts")
     index, meta = _load_index_with_meta(ns)
     mode = ns.mode or index.mode
     if mode is None:
@@ -183,9 +185,7 @@ def cmd_search(ns) -> int:
 
     t_rerank = 0.0
     if ns.rerank != "none":
-        documents = load_corpus(ns.corpus) if ns.corpus else None
-        if documents is None:
-            raise ConfigMismatch("--rerank needs --corpus for document texts")
+        documents = load_corpus(ns.corpus)
         t0 = time.perf_counter()
         run = rerank(run, questions, documents, store, method=ns.rerank,
                      stopwords=stopwords, depth=ns.rerank_depth, threads=ns.threads)

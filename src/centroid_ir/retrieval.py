@@ -93,11 +93,16 @@ def retrieve(
 
     A question whose centroid is zero (all tokens out of vocabulary or
     stop words) gets an empty list rather than an arbitrary ranking.
-    Raises :class:`ConfigMismatch` when the index records a centroid
-    mode other than the one requested.
+    ``k`` and ``search_k`` must be at least 1.  Raises
+    :class:`ConfigMismatch` when the index records a centroid mode other
+    than the one requested.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if search_k is not None and search_k < 1:
+        raise ValueError(f"search_k must be at least 1, got {search_k}")
     make_centroid = _centroid_fn(mode)
     if index.mode is not None and index.mode != mode:
         raise ConfigMismatch(

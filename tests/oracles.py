@@ -4,6 +4,7 @@ Everything here is written with plain loops, deliberately sharing no code
 or vectorization strategy with the package, so agreement is meaningful.
 """
 
+import heapq
 import math
 
 
@@ -78,6 +79,43 @@ def route_point(tree, x):
         side = 1 if proj >= float(tree.offsets[ref]) else 0
         ref = int(tree.children[ref][side])
     return -ref - 1
+
+
+def brute_candidates(forest, qv, search_k):
+    """The forest's best-first traversal, deduplicating leaf by leaf.
+
+    One heap over all trees holds (-priority, counter, tree, ref); a
+    node's priority is the smallest hyperplane margin crossed to reach
+    it, +inf at the roots.  Each popped leaf adds the rows no earlier
+    leaf added, and the walk stops once ``search_k`` distinct rows are
+    in or the heap is empty.  Returns one list per popped leaf: the rows
+    it added, in pop order.
+    """
+    heap = [(-math.inf, ti, ti, tree.root) for ti, tree in enumerate(forest)]
+    heapq.heapify(heap)
+    counter = len(heap)
+    seen = set()
+    added = []
+    while heap and len(seen) < search_k:
+        neg_pri, _, ti, ref = heapq.heappop(heap)
+        tree = forest[ti]
+        if ref < 0:
+            leaf = -ref - 1
+            lo, hi = int(tree.leaf_bounds[leaf]), int(tree.leaf_bounds[leaf + 1])
+            fresh = []
+            for row in tree.leaf_items[lo:hi].tolist():
+                if row not in seen:
+                    seen.add(row)
+                    fresh.append(row)
+            added.append(fresh)
+        else:
+            pri = -neg_pri
+            margin = float(tree.normals[ref] @ qv) - float(tree.offsets[ref])
+            left, right = (int(c) for c in tree.children[ref])
+            heapq.heappush(heap, (-min(pri, -margin), counter, ti, left))
+            heapq.heappush(heap, (-min(pri, margin), counter + 1, ti, right))
+            counter += 2
+    return added
 
 
 def brute_centroid(tokens, vectors, idf, n_docs):

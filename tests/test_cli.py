@@ -122,6 +122,17 @@ class TestSearch:
         build(workspace)
         assert self.search(workspace, "x.txt", "--rerank", "rwmd_q") == 3
 
+    def test_rerank_without_corpus_fails_before_loading(self, workspace):
+        # No index exists: the missing corpus is reported (3), not the index (2).
+        assert self.search(workspace, "x.txt", "--rerank", "rwmd_q") == 3
+
+    @pytest.mark.parametrize("flag", ["--k", "--search-k"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_budget_below_one_exit_3(self, workspace, flag, value):
+        build(workspace)
+        assert self.search(workspace, "x.txt", flag, value) == 3
+        assert not (workspace / "x.txt").exists()
+
     def test_mode_mismatch_exit_3(self, workspace):
         build(workspace)
         assert self.search(workspace, "x.txt", "--mode", "cent") == 3

@@ -7,7 +7,7 @@ from centroid_ir import (CentroidIndex, DimensionMismatch, DuplicateId,
                          IndexFormatError, StateError, build_exact, cosine,
                          load_index, save_index)
 from centroid_ir.centroids import Centroid
-from oracles import brute_topk_cosine, route_point
+from oracles import brute_candidates, brute_topk_cosine, route_point
 
 
 def gaussian_index(rng, n, dim, prefix="d") -> tuple[CentroidIndex, np.ndarray]:
@@ -274,6 +274,79 @@ class TestAnnTopk:
         index.build_forest(n_trees=2, leaf_cap=8, seed=1)
         assert index.ann_topk(rng.normal(size=5), 0) == []
 
+    @pytest.mark.parametrize("search_k", [0, -5])
+    def test_search_k_below_one_rejected(self, search_k):
+        rng = np.random.default_rng(49)
+        index, _ = gaussian_index(rng, 100, 5)
+        index.build_forest(n_trees=2, leaf_cap=8, seed=1)
+        with pytest.raises(ValueError, match="search_k"):
+            index.ann_topk(rng.normal(size=5), 3, search_k=search_k)
+
+
+def ranked_from(index, q, rows, k):
+    """What ann_topk returns for candidate ``rows``: exact cosines of the
+    sorted rows, best k by (-score, id)."""
+    rows = np.sort(np.asarray(rows, dtype=np.int32))
+    scores = (index.unit_matrix[rows] @ index._unit_query(q)).tolist()
+    ranked = sorted(zip(scores, index.doc_ids[rows].tolist()), key=lambda e: (-e[0], e[1]))
+    return [(doc, score) for score, doc in ranked[:k]]
+
+
+def overlap_forest():
+    rng = np.random.default_rng(61)
+    index, vectors = gaussian_index(rng, 200, 6)
+    return index.build_forest(n_trees=24, leaf_cap=8, seed=5), vectors
+
+
+def single_row_leaves():
+    rng = np.random.default_rng(62)
+    index, vectors = gaussian_index(rng, 80, 4)
+    return index.build_forest(n_trees=5, leaf_cap=1, seed=6), vectors
+
+
+def duplicate_rows():
+    rng = np.random.default_rng(63)
+    distinct = rng.normal(size=(30, 5)).astype(np.float32)
+    vectors = distinct[rng.integers(0, 30, size=240)]
+    index = CentroidIndex.from_matrix([f"d{i:03d}" for i in range(240)], vectors)
+    index.build_forest(n_trees=5, leaf_cap=4, seed=7)
+    assert any(np.diff(tree.leaf_bounds).max() > 4 for tree in index.forest)
+    return index, vectors
+
+
+class TestCandidatesMatchOracle:
+    """The traversal against the leaf-by-leaf reference in ``oracles``."""
+
+    @pytest.fixture(params=[overlap_forest, single_row_leaves, duplicate_rows],
+                    ids=["many-trees", "leaf-cap-1", "duplicate-rows"])
+    def case(self, request):
+        index, vectors = request.param()
+        rng = np.random.default_rng(64)
+        queries = [rng.normal(size=index.dim) for _ in range(3)] + [vectors[17]]
+        return index, queries
+
+    def budgets(self, index, qv):
+        """1..24, every total at which the reference stops on a leaf
+        boundary, N - 1, N and 2N."""
+        n = index.n_docs
+        totals = np.cumsum([len(rows) for rows in brute_candidates(index.forest, qv, n)])
+        return sorted(set(range(1, 25)) | set(totals.tolist()) | {n - 1, n, 2 * n})
+
+    def test_same_rows_and_ranking(self, case):
+        index, queries = case
+        for q in queries:
+            qv = index._unit_query(q)
+            for search_k in self.budgets(index, qv):
+                got = index._candidates(qv, search_k).tolist()
+                want = [r for rows in brute_candidates(index.forest, qv, search_k) for r in rows]
+                assert len(got) == len(set(got))
+                assert set(got) == set(want), search_k
+                assert not index._seen_buffer().any()
+                if search_k < index.n_docs:  # larger budgets rank every row exactly
+                    for k in (1, 10):
+                        assert index.ann_topk(q, k, search_k=search_k) == ranked_from(
+                            index, q, want, k), (search_k, k)
+
 
 class TestPersistence:
     def test_roundtrip_single_doc(self, tmp_path):
@@ -294,6 +367,19 @@ class TestPersistence:
         q = rng.normal(size=14)
         assert loaded.ann_topk(q, 10) == index.ann_topk(q, 10)
         assert loaded.exact_topk(q, 10) == index.exact_topk(q, 10)
+
+    def test_loaded_views_give_same_ann(self, tmp_path):
+        rng = np.random.default_rng(55)
+        index, _ = gaussian_index(rng, 1200, 8)
+        index.build_forest(n_trees=12, leaf_cap=16, seed=21)
+        save_index(index, tmp_path / "f.crvi")
+        loaded = load_index(tmp_path / "f.crvi")
+        assert not loaded.forest[0].leaf_items.flags.writeable
+        for _ in range(10):
+            q = rng.normal(size=8)
+            for search_k in (1, 37, 300, 1199):
+                assert loaded.ann_topk(q, 15, search_k=search_k) == index.ann_topk(
+                    q, 15, search_k=search_k)
 
     def test_exact_only_roundtrip(self, tmp_path):
         index = build_exact([("a", [1.0, 0.0]), ("b", [0.5, 0.5])])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,41 @@ class TestRetrieve:
         threaded = retrieve(questions, index, store, mode="cent",
                             stopwords=STOP, threads=4)
         assert serial.per_question == threaded.per_question
+
+    def test_ann_threads_match_serial(self):
+        # Each pool thread dedups candidates in its own mask and builds the
+        # trees' list views on first use; a fresh index per side makes the
+        # threaded call race for those views.
+        rng = np.random.default_rng(81)
+        store = random_store(rng, 60, 6)
+        words = list(store.vocab)
+        docs = [DocumentRecord(id=f"d{i:03d}", title="",
+                               abstract=" ".join(rng.choice(words, size=8)))
+                for i in range(400)]
+        questions = [Question(f"q{i:02d}", " ".join(rng.choice(words, size=4)))
+                     for i in range(160)]
+
+        def run(threads):
+            index = build_corpus_index(docs, store, mode="cent", stopwords=STOP)
+            index.build_forest(n_trees=6, leaf_cap=8, seed=3)
+            return retrieve(questions, index, store, mode="cent", engine="ann", k=10,
+                            search_k=60, stopwords=STOP, threads=threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.per_question == run(1).per_question
+        assert all(len(hits) == 10 for hits in threaded.per_question.values())
+
+    @pytest.mark.parametrize("k, search_k", [(0, None), (-1, None), (5, 0), (5, -3)])
+    def test_budgets_below_one_rejected(self, toy, k, search_k):
+        store, docs, index = toy
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            retrieve([Question("q1", "alpha")], index, store, mode="cent",
+                     engine="ann", k=k, search_k=search_k, stopwords=STOP)
 
 
 class TestRerank:
