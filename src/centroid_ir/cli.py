@@ -109,10 +109,6 @@ def _load_stopword_set(ns):
     return default_stopwords()
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _meta_path(index_path) -> str:
     return f"{index_path}.meta.json"
 
@@ -123,6 +119,7 @@ def _meta_path(index_path) -> str:
 def cmd_build_index(ns) -> int:
     t0 = time.perf_counter()
     store = emb.load_embeddings(ns.embeddings)
+    _log(f"load embeddings: {time.perf_counter() - t0:.3f} s")
     stopwords = _load_stopword_set(ns)
     idf_file = ns.idf_file
     if ns.mode == "centidf":
@@ -163,6 +160,7 @@ def _load_index_with_meta(ns):
 def cmd_search(ns) -> int:
     if ns.rerank != "none" and not ns.corpus:
         raise ConfigMismatch("--rerank needs --corpus for document texts")
+    t0 = time.perf_counter()
     index, meta = _load_index_with_meta(ns)
     mode = ns.mode or index.mode
     if mode is None:
@@ -177,6 +175,8 @@ def cmd_search(ns) -> int:
         store.set_idf(*emb.load_idf(idf_file))
     stopwords = _load_stopword_set(ns)
     questions = load_questions(ns.questions)
+    documents = load_corpus(ns.corpus) if ns.rerank != "none" else None
+    t_load = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     run = retrieve(questions, index, store, mode=mode, engine=engine, k=ns.k,
@@ -184,14 +184,14 @@ def cmd_search(ns) -> int:
     t_search = time.perf_counter() - t0
 
     t_rerank = 0.0
-    if ns.rerank != "none":
-        documents = load_corpus(ns.corpus)
+    if documents is not None:
         t0 = time.perf_counter()
         run = rerank(run, questions, documents, store, method=ns.rerank,
                      stopwords=stopwords, depth=ns.rerank_depth, threads=ns.threads)
         t_rerank = time.perf_counter() - t0
 
     write_run(run, ns.out)
+    _log(f"load: {t_load:.3f} s")
     _log(f"search: {t_search:.3f} s")
     _log(f"rerank: {t_rerank:.3f} s")
     _log(f"wrote {sum(len(v) for v in run.per_question.values())} entries "
@@ -283,7 +283,8 @@ def _build_parser():
     c.opt("--corpus", help="corpus file, needed when reranking")
     c.opt("--idf-file", help="IDF file for centidf (default: recorded with index)")
     c.opt("--stopwords")
-    c.opt("--threads", type=int, default=_default_threads())
+    c.opt("--threads", type=int, default=1,
+          help="question pool size (default 1)")
     commands["search"] = (c, cmd_search)
 
     c = _Command(sub, "rerank", "rerank an existing run file by relaxed WMD")
@@ -295,7 +296,8 @@ def _build_parser():
     c.opt("--method", default="rwmd_q", choices=sorted(SCORERS))
     c.opt("--rerank-depth", type=int)
     c.opt("--stopwords")
-    c.opt("--threads", type=int, default=_default_threads())
+    c.opt("--threads", type=int, default=1,
+          help="question pool size (default 1)")
     commands["rerank"] = (c, cmd_rerank)
 
     c = _Command(sub, "hybrid", "fall back to a second run where the first is empty")

@@ -18,9 +18,10 @@ centroid arithmetic reads.  :meth:`EmbeddingStore.rows` maps tokens to rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -129,51 +130,87 @@ def load_embeddings(path) -> EmbeddingStore:
     Format: optional first header line ``V D`` (two integers), then one
     line per word: the token followed by D decimal floats, whitespace
     separated.  The dimension is taken from the header or inferred from
-    the first vector line; later occurrences of a word win.  A header's
-    V must equal the number of vector lines.
+    the first vector line; later occurrences of a word win, at the row of
+    its first occurrence.  A header's V must equal the number of vector
+    lines.  Numbers are read by numpy's text parser in one streaming
+    pass; a file it rejects is scanned again line by line, only to name
+    the first bad line in the error.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    tokens: list[str] = []
     n_header: int | None = None
-    n_lines = 0
-    first_data_line = True
+    dim: int | None = None
+
+    def remainders(fh):
+        nonlocal n_header, dim
+        for line in fh:
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if not tokens and dim is None:
+                fields = line.split()
+                if len(fields) == 2 and _both_ints(fields):
+                    n_header, dim = int(fields[0]), int(fields[1])
+                    continue
+            if len(parts) < 2:
+                raise ValueError("token without vector components")
+            tokens.append(parts[0])
+            yield parts[1]
+
+    matrix = None
+    with open(path, encoding="utf-8") as fh:
+        rows = remainders(fh)
+        try:
+            first = next(rows, None)
+            if first is not None:
+                matrix = np.loadtxt(itertools.chain([first], rows), dtype=np.float32,
+                                    comments=None, ndmin=2)
+        except ValueError:
+            _raise_first_bad_line(path)
+    if matrix is None:
+        if dim is None:
+            raise ParseError("embedding file contains no header and no vectors", path=path)
+        matrix = np.zeros((0, dim), dtype=np.float32)
+    elif (dim is not None and matrix.shape[1] != dim) or not np.isfinite(matrix).all():
+        _raise_first_bad_line(path)
+    if n_header is not None and n_header != len(tokens):
+        raise ParseError(f"header announces {n_header} vectors, file has {len(tokens)}",
+                         path=path)
+    last_line = {token: line for line, token in enumerate(tokens)}
+    if len(last_line) < len(tokens):
+        matrix = matrix[list(last_line.values())]
+    return EmbeddingStore({token: row for row, token in enumerate(last_line)}, matrix)
+
+
+def _raise_first_bad_line(path) -> NoReturn:
+    """Scan an embedding file numpy rejected and raise for its first bad line."""
+    dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
                 continue
-            if first_data_line and len(fields) == 2 and _both_ints(fields):
-                n_header, dim = int(fields[0]), int(fields[1])
-                first_data_line = False
+            if dim is None and len(fields) == 2 and _both_ints(fields):
+                dim = int(fields[1])
                 continue
-            first_data_line = False
             if len(fields) < 2:
                 raise ParseError("expected a token followed by vector components",
                                  line_no=line_no, path=path)
-            token, components = fields[0], fields[1:]
             if dim is None:
-                dim = len(components)
-            elif len(components) != dim:
+                dim = len(fields) - 1
+            elif len(fields) - 1 != dim:
                 raise DimensionMismatch(
-                    f"{path}: line {line_no}: expected {dim} components, got {len(components)}"
+                    f"{path}: line {line_no}: expected {dim} components, got {len(fields) - 1}"
                 )
             try:
-                vec = np.array([float(c) for c in components], dtype=np.float32)
+                vec = np.loadtxt([line.split(None, 1)[1]], dtype=np.float32,
+                                 comments=None, ndmin=2)
             except ValueError:
                 raise ParseError("vector component is not a number",
                                  line_no=line_no, path=path) from None
-            if not np.all(np.isfinite(vec)):
+            if not np.isfinite(vec).all():
                 raise ParseError("vector component is not finite",
                                  line_no=line_no, path=path)
-            vectors[token] = vec
-            n_lines += 1
-    if dim is None:
-        raise ParseError("embedding file contains no header and no vectors", path=path)
-    if n_header is not None and n_header != n_lines:
-        raise ParseError(f"header announces {n_header} vectors, file has {n_lines}", path=path)
-    vocab = {token: row for row, token in enumerate(vectors)}
-    matrix = np.array(list(vectors.values()), dtype=np.float32).reshape(len(vectors), dim)
-    return EmbeddingStore(vocab, matrix)
+    raise ParseError("embedding file could not be parsed", path=path)
 
 
 def _both_ints(fields: list[str]) -> bool:

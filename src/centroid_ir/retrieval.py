@@ -93,7 +93,7 @@ def retrieve(
 
     A question whose centroid is zero (all tokens out of vocabulary or
     stop words) gets an empty list rather than an arbitrary ranking.
-    ``k`` and ``search_k`` must be at least 1.  Raises
+    ``k``, ``search_k`` and ``threads`` must be at least 1.  Raises
     :class:`ConfigMismatch` when the index records a centroid mode other
     than the one requested.
     """
@@ -103,6 +103,8 @@ def retrieve(
         raise ValueError(f"k must be at least 1, got {k}")
     if search_k is not None and search_k < 1:
         raise ValueError(f"search_k must be at least 1, got {search_k}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     make_centroid = _centroid_fn(mode)
     if index.mode is not None and index.mode != mode:
         raise ConfigMismatch(
@@ -146,9 +148,10 @@ def rerank(
     """Reorder each question's documents by ascending relaxed WMD.
 
     The document set per question is preserved exactly; only the order
-    and the scores change (scores become distances).  ``depth`` (at least
-    1) limits reranking to the top so-many documents, leaving the tail in
-    its original order behind them.  Ties break by ascending doc_id;
+    and the scores change (scores become distances).  ``depth`` limits
+    reranking to the top so-many documents, leaving the tail in its
+    original order behind them; it and ``threads`` must be at least 1.
+    Ties break by ascending doc_id;
     texts with no in-vocabulary tokens score +inf and sink to the bottom.
 
     Each distinct reranked document is tokenized once, up front, into
@@ -159,6 +162,8 @@ def rerank(
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
     if depth is not None and depth < 1:
         raise ValueError(f"rerank depth must be at least 1, got {depth}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if stopwords is None:
         stopwords = default_stopwords()
     question_texts = _as_question_map(questions)

@@ -7,6 +7,10 @@ or vectorization strategy with the package, so agreement is meaningful.
 import heapq
 import math
 
+import numpy as np
+
+from centroid_ir import DimensionMismatch, ParseError
+
 
 def brute_average_precision(ranking, rel):
     """AP by rescanning the prefix at every relevant hit."""
@@ -149,3 +153,62 @@ def brute_centroid(tokens, vectors, idf, n_docs):
     if denom <= 0.0:
         return [0.0] * dim, 0
     return [x / denom for x in total], known
+
+
+def brute_load_embeddings(path):
+    """Parse a text embedding file one line and one ``float()`` at a time.
+
+    Returns the ``token -> row`` map and the float32 matrix, or raises
+    the :class:`ParseError` / :class:`DimensionMismatch` of the first bad
+    line.  A header ``V D`` is the first non-blank line if it holds
+    exactly two integers; later occurrences of a word win, at the row of
+    its first occurrence.
+    """
+    vectors = {}
+    dim = None
+    n_header = None
+    n_lines = 0
+    first_data_line = True
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if first_data_line and len(fields) == 2:
+                try:
+                    n_header, dim = int(fields[0]), int(fields[1])
+                except ValueError:
+                    pass
+                else:
+                    first_data_line = False
+                    continue
+            first_data_line = False
+            if len(fields) < 2:
+                raise ParseError("expected a token followed by vector components",
+                                 line_no=line_no, path=path)
+            token, components = fields[0], fields[1:]
+            if dim is None:
+                dim = len(components)
+            elif len(components) != dim:
+                raise DimensionMismatch(
+                    f"{path}: line {line_no}: expected {dim} components, got {len(components)}"
+                )
+            try:
+                values = [float(c) for c in components]
+            except ValueError:
+                raise ParseError("vector component is not a number",
+                                 line_no=line_no, path=path) from None
+            with np.errstate(over="ignore"):  # 1e39 overflows float32 to inf
+                vec = [np.float32(v) for v in values]
+            if not all(math.isfinite(v) for v in vec):
+                raise ParseError("vector component is not finite",
+                                 line_no=line_no, path=path)
+            vectors[token] = vec
+            n_lines += 1
+    if dim is None:
+        raise ParseError("embedding file contains no header and no vectors", path=path)
+    if n_header is not None and n_header != n_lines:
+        raise ParseError(f"header announces {n_header} vectors, file has {n_lines}", path=path)
+    vocab = {token: row for row, token in enumerate(vectors)}
+    matrix = np.array(list(vectors.values()), dtype=np.float32).reshape(len(vectors), dim)
+    return vocab, matrix

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from centroid_ir.cli import main
+from centroid_ir.cli import _build_parser, main
 from centroid_ir.index import CentroidIndex, load_index, save_index
 
 
@@ -55,6 +56,10 @@ class TestBuildIndex:
         meta = json.loads((workspace / "index.crvi.meta.json").read_text())
         assert meta == {"idf_file": str(workspace / "index.crvi.idf")}
 
+    def test_logs_embedding_load_time(self, workspace, capsys):
+        assert build(workspace) == 0
+        assert re.search(r"^load embeddings: \d+\.\d{3} s$", capsys.readouterr().err, re.M)
+
     def test_exact_engine_has_no_trees(self, workspace):
         assert build(workspace, "flat.crvi", "--engine", "exact") == 0
         assert load_index(workspace / "flat.crvi").n_trees == 0
@@ -96,6 +101,26 @@ class TestSearch:
         assert first[0] == "q1" and first[2] == "d1" and first[3] == "1"
         err = capsys.readouterr().err
         assert "search:" in err and "rerank:" in err
+
+    def test_logs_stage_times(self, workspace, capsys):
+        build(workspace)
+        capsys.readouterr()
+        assert self.search(workspace, "run.txt", "--rerank", "rwmd_q",
+                           "--corpus", str(workspace / "corpus.jsonl")) == 0
+        err = capsys.readouterr().err
+        for stage in ("load", "search", "rerank"):
+            assert re.search(rf"^{stage}: \d+\.\d{{3}} s$", err, re.M), stage
+
+    @pytest.mark.parametrize("command", ["search", "rerank"])
+    def test_threads_default_to_one(self, command):
+        _, commands = _build_parser()
+        assert commands[command][0].defaults["threads"] == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_threads_below_one_exit_3(self, workspace, value):
+        build(workspace)
+        assert self.search(workspace, "x.txt", "--threads", value) == 3
+        assert not (workspace / "x.txt").exists()
 
     def test_stopword_question_absent_from_body(self, workspace):
         build(workspace)
@@ -182,6 +207,19 @@ class TestRerankCommand:
                      "--corpus", str(workspace / "corpus.jsonl"),
                      "--embeddings", str(workspace / "vectors.txt"),
                      "--out", str(out), "--rerank-depth", "0"])
+        assert code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_threads_below_one_exit_3(self, workspace, value):
+        run = workspace / "external.txt"
+        run.write_text("q1 Q0 d2 1 5.0 pubmedse\nq1 Q0 d1 2 4.0 pubmedse\n")
+        out = workspace / "reranked.txt"
+        code = main(["rerank", "--run", str(run),
+                     "--questions", str(workspace / "questions.jsonl"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "vectors.txt"),
+                     "--out", str(out), "--threads", value])
         assert code == 3
         assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
                          document_frequencies, load_embeddings, load_idf,
                          save_idf)
 from conftest import make_store
+from oracles import brute_load_embeddings
 
 
 def _write(tmp_path, content):
@@ -64,6 +66,109 @@ class TestLoadEmbeddings:
     def test_header_counts_repeated_word_lines(self, tmp_path):
         store = load_embeddings(_write(tmp_path, "2 2\na 1.0 0.0\na 0.5 0.5\n"))
         assert len(store) == 1
+
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0661", "\uff11"])
+    def test_numbers_are_ascii_decimal(self, tmp_path, number):
+        # Underscored and non-ASCII digits, which float() reads, are rejected.
+        with pytest.raises(ParseError, match="line 2"):
+            load_embeddings(_write(tmp_path, f"a 1 2\nb {number} 2\n"))
+
+    def test_header_only_zero_count(self, tmp_path):
+        store = load_embeddings(_write(tmp_path, "0 3\n"))
+        assert len(store) == 0
+        assert store.matrix.shape == (0, 3)
+
+
+def _random_lines(rng, n, dim, words):
+    """Vector lines whose components span float32's range, with 17 digits."""
+    lines = []
+    for _ in range(n):
+        mags = 10.0 ** rng.uniform(-44, 38, size=dim)
+        values = mags * rng.choice([-1.0, 1.0], size=dim)
+        lines.append(" ".join([str(rng.choice(words))] + [f"{v:.17g}" for v in values]))
+    return lines
+
+
+def _valid_files():
+    rng = np.random.default_rng(29)
+    body = _random_lines(rng, 40, 6, ["w0", "w1", "w2"] + [f"x{i}" for i in range(60)])
+    return {
+        "header": "4 3\na 0.1 0.2 0.3\nb 1 2 3\nc -1e-3 2.5E+7 .5\nd 5. +1 -2\n",
+        "no-header": "a 0.1 0.2 0.3\nb 1 2 3\nc -1e-3 2.5E+7 .5\n",
+        "zero-header": "0 5\n",
+        "blank-lines": "\n\n3 2\n\n   \na 1 2\n\t\nb 3 4\n\n\nc 5 6\n\n",
+        "tabs-and-spaces": "a\t1.5\t 2.5   \nb   3\t\t4\n  c 5 6\n",
+        "unicode-spaces": "a 1\u00a02\nb\u20003 4\n",
+        "crlf": "2 2\r\na 1 2\r\n\r\nb 3 4\r\n",
+        "repeated": "a 1 2\nb 3 4\na 5 6\nc 7 8\nb 9 10\na 11 12\n",
+        "repeated-header": "3 2\na 1 2\nb 3 4\na 5 6\n",
+        "dim-1": "a 1\nb -2.5\nc 3e-2\n",
+        "dim-1-header": "3 1\na 1\nb -2.5\nc 3e-2\n",
+        "dim-1-int-tokens": "a 1\n5 2\n7 3\n",  # "5 2" is a vector line, not a header
+        "dim-1-int-tokens-header": "2 1\n5 2\n7 3\n",
+        "special-values": ("a 1e-3 -2.5E+7 -0.0 0.0 1e-40 1.4e-45 3.4028234e38\n"
+                           "b -1e-45 7e-46 -3.4028235e38 1e-38 1.17549435e-38 -0.0 0\n"),
+        "hash-token": "# 1 2\n#a 3 4\n",
+        "random": "\n".join(body) + "\n",
+        "random-header": f"{len(body)} 6\n" + "\n".join(body),
+    }
+
+
+def _malformed_files():
+    return {
+        "bad-number": "a 1 2\nb 3 x\n",
+        "bad-number-first": "a x 2\nb 3 4\n",
+        "too-few": "a 1 2\nb 3\nc 4 5\n",
+        "too-many": "a 1 2\nb 3 4 5\n",
+        "too-few-for-header": "2 3\na 1 2\nb 3 4\n",
+        "too-many-for-header": "1 1\na 1 2\n",
+        "token-only": "a 1 2\nb\nc 3 4\n",
+        "token-only-trailing-space": "a 1 2\nb   \n",
+        "token-only-first": "a\nb 1 2\n",
+        "float32-overflow": "a 1 2\nb 1e39 0\n",
+        "negative-overflow": "a 1 2\nb 0 -1e39\n",
+        "nan": "a 1 2\nb 3 nan\n",
+        "inf": "a -inf 2\n",
+        "nan-before-bad-column": "a 1 2\nb 3 nan\nc 4\nd x y\n",
+        "header-count-short": "3 2\na 1 2\nb 3 4\n",
+        "header-count-long": "1 2\na 1 2\nb 3 4\n",
+        "header-count-no-lines": "2 2\n",
+        "empty": "",
+        "blank-only": "\n  \n\t\n",
+    }
+
+
+def _error_line(exc):
+    if isinstance(exc, ParseError):
+        return exc.line_no
+    found = re.search(r"line (\d+):", str(exc))
+    return int(found.group(1)) if found else None
+
+
+class TestLoaderMatchesBruteParser:
+    @pytest.mark.parametrize("name, content", sorted(_valid_files().items()))
+    def test_valid_files(self, tmp_path, name, content):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content.encode("utf-8"))
+        vocab, matrix = brute_load_embeddings(path)
+        store = load_embeddings(path)
+        assert list(store.vocab.items()) == list(vocab.items())
+        assert store.matrix.dtype == matrix.dtype == np.float32
+        assert store.matrix.shape == matrix.shape
+        assert store.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("name, content", sorted(_malformed_files().items()))
+    def test_malformed_files(self, tmp_path, name, content):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content.encode("utf-8"))
+        with pytest.raises((ParseError, DimensionMismatch)) as want:
+            brute_load_embeddings(path)
+        with pytest.raises((ParseError, DimensionMismatch)) as got:
+            load_embeddings(path)
+        assert type(got.value) is type(want.value)
+        assert _error_line(got.value) == _error_line(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestStoreRows:

@@ -132,6 +132,19 @@ class TestRetrieve:
                      engine="ann", k=k, search_k=search_k, stopwords=STOP)
 
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_work(self, toy, threads):
+        store, docs, index = toy
+
+        def questions():
+            raise AssertionError("questions were read")
+            yield
+
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            retrieve(questions(), index, store, mode="cent", stopwords=STOP,
+                     threads=threads)
+
+
 class TestRerank:
     def test_moves_matching_doc_first(self, toy):
         store, docs, _ = toy
@@ -227,6 +240,14 @@ class TestRerank:
         run = RankedRun(tag="x", per_question={"q1": [("db", 0.9), ("da", 0.8)]})
         with pytest.raises(ValueError, match="depth"):
             rerank(run, {"q1": "alpha"}, docs, store, stopwords=STOP, depth=depth)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_work(self, toy, threads):
+        store, docs, index = toy
+        # The run names a document the corpus lacks: any work would raise UnknownIds.
+        run = RankedRun(tag="x", per_question={"q1": [("missing", 1.0)]})
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            rerank(run, {"q1": "alpha"}, docs, store, stopwords=STOP, threads=threads)
 
 
 class TestRerankMatchesPairwise:
