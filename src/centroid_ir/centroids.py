@@ -18,6 +18,7 @@ abstracts run to hundreds of tokens and single precision drifts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +49,33 @@ class Centroid:
         return self.norm == 0.0
 
 
-def _weighted_centroid(text: TokenizedText, store: EmbeddingStore,
-                       idf_rows: np.ndarray | None) -> Centroid:
-    """The shared accumulation, one weight per in-vocabulary occurrence.
+def _weighted_mean(rows: np.ndarray, store: EmbeddingStore,
+                   idf_rows: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The shared accumulation over one text's vocabulary rows.
 
-    The weights are ``idf_rows`` at the occurrences' rows, or ones.
+    The weights are ``idf_rows`` at the rows, or ones.  Returns the
+    centroid, None when the weights sum to zero, and the weights.
     """
-    rows = store.rows(text)
     w = np.ones(rows.size) if idf_rows is None else idf_rows[rows]
     denom = float(w.sum())
     if denom <= 0.0:
+        return None, w
+    return (w @ store.matrix[rows].astype(np.float64)) / denom, w
+
+
+def _weighted_centroid(text: TokenizedText, store: EmbeddingStore,
+                       idf_rows: np.ndarray | None) -> Centroid:
+    vec, w = _weighted_mean(store.rows(text), store, idf_rows)
+    if vec is None:
         return Centroid(vec=np.zeros(store.dim), norm=0.0, n_known_tokens=0)
-    vec = (w @ store.matrix[rows].astype(np.float64)) / denom
     return Centroid(vec=vec, norm=float(np.linalg.norm(vec)),
                     n_known_tokens=int(np.count_nonzero(w > 0.0)))
+
+
+def _idf_rows(store: EmbeddingStore) -> np.ndarray:
+    if store.idf_rows is None:
+        raise StateError("IDF scores have not been computed or loaded")
+    return store.idf_rows
 
 
 def centroid_simple(text: TokenizedText, store: EmbeddingStore) -> Centroid:
@@ -76,9 +90,26 @@ def centroid_idf(text: TokenizedText, store: EmbeddingStore) -> Centroid:
     count towards ``n_known_tokens``; if every weight is zero the result
     is the zero centroid.
     """
-    if store.idf_rows is None:
-        raise StateError("IDF scores have not been computed or loaded")
-    return _weighted_centroid(text, store, store.idf_rows)
+    return _weighted_centroid(text, store, _idf_rows(store))
+
+
+def centroid_matrix(rows: np.ndarray, bounds: np.ndarray, store: EmbeddingStore,
+                    idf: bool) -> np.ndarray:
+    """Centroid vectors of many texts, one float32 row per text.
+
+    Text i's vocabulary rows are ``rows[bounds[i]:bounds[i + 1]]``, as
+    :meth:`EmbeddingStore.rows_many` gives them.  Row i is the float64
+    ``vec`` of :func:`centroid_idf` (``idf``) or :func:`centroid_simple`
+    for text i, rounded to float32 as an index stores it.  IDF scores are
+    required only when there is at least one text.
+    """
+    out = np.zeros((len(bounds) - 1, store.dim), dtype=np.float32)
+    idf_rows = _idf_rows(store) if idf and len(out) else None
+    for i, (lo, hi) in enumerate(itertools.pairwise(bounds.tolist())):
+        vec, _ = _weighted_mean(rows[lo:hi], store, idf_rows)
+        if vec is not None:
+            out[i] = vec
+    return out
 
 
 def cosine(a, b) -> float:

@@ -13,7 +13,8 @@ ln(n_docs), the value a df = 1 token would get.
 
 The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
 too; ``idf_rows`` is the float64 vector over vocabulary rows that the
-centroid arithmetic reads.  :meth:`EmbeddingStore.rows` maps tokens to rows.
+centroid arithmetic reads.  :meth:`EmbeddingStore.rows_many` maps tokens to
+rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus.
 """
 
 from __future__ import annotations
@@ -75,17 +76,37 @@ class EmbeddingStore:
 
     def rows(self, text: TokenizedText) -> np.ndarray:
         """Vocabulary rows of the in-vocabulary tokens of ``text``, in order."""
-        rows = [row for row in map(self.vocab.get, text.tokens) if row is not None]
-        return np.array(rows, dtype=np.intp)
+        return self.rows_many([text])[0]
+
+    def rows_many(self, texts: Iterable[TokenizedText]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rows` of every text, concatenated, and their bounds.
+
+        Text i's rows are ``rows[bounds[i]:bounds[i + 1]]``; ``bounds``
+        has one entry more than there are texts and starts at 0.  The
+        texts are read once, so a generator need not hold them all.
+        """
+        lengths = [0]
+
+        def token_lists():
+            for text in texts:
+                lengths.append(len(text.tokens))
+                yield text.tokens
+
+        tokens = itertools.chain.from_iterable(token_lists())
+        found = np.fromiter(map(self.vocab.get, tokens, itertools.repeat(-1)), np.intp)
+        oov = np.flatnonzero(found < 0)
+        bounds = np.cumsum(lengths, dtype=np.intp)
+        return np.delete(found, oov), bounds - np.searchsorted(oov, bounds)
 
     def set_idf(self, idf: dict[str, float], n_docs: int) -> None:
         """Attach an IDF table over ``n_docs`` documents and its row vector."""
         self.idf = dict(idf)
         self.n_docs = int(n_docs)
         default = math.log(self.n_docs) if self.n_docs else 0.0
-        self.idf_rows = np.full(len(self.vocab), default)
-        for token, row in self.vocab.items():
-            self.idf_rows[row] = self.idf.get(token, default)
+        n = len(self.vocab)
+        self.idf_rows = np.empty(n)
+        self.idf_rows[np.fromiter(self.vocab.values(), np.intp, count=n)] = np.fromiter(
+            map(self.idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
 
     def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
         """Compute IDF scores over ``docs`` and attach them."""
@@ -107,11 +128,14 @@ def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int],
     Each document contributes its distinct tokens once.  Returns the df
     map and the number of documents consumed.
     """
-    df: Counter[str] = Counter()
     n_docs = 0
-    for doc in docs:
-        n_docs += 1
-        df.update(set(doc.tokens))
+
+    def token_sets():
+        nonlocal n_docs
+        for n_docs, doc in enumerate(docs, start=1):
+            yield set(doc.tokens)
+
+    df = Counter(itertools.chain.from_iterable(token_sets()))
     return dict(df), n_docs
 
 
@@ -142,7 +166,7 @@ def load_embeddings(path) -> EmbeddingStore:
 
     def remainders(fh):
         nonlocal n_header, dim
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.split(None, 1)
             if not parts:
                 continue
@@ -150,6 +174,9 @@ def load_embeddings(path) -> EmbeddingStore:
                 fields = line.split()
                 if len(fields) == 2 and _both_ints(fields):
                     n_header, dim = int(fields[0]), int(fields[1])
+                    if n_header < 0 or dim < 0:
+                        raise ParseError("header count and dimension must not be negative",
+                                         line_no=line_no, path=path)
                     continue
             if len(parts) < 2:
                 raise ValueError("token without vector components")

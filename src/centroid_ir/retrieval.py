@@ -13,14 +13,13 @@ The building blocks compose into the named systems:
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .centroids import centroid_idf, centroid_simple
+from .centroids import centroid_idf, centroid_matrix, centroid_simple
 from .corpus import DocumentRecord
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
@@ -154,9 +153,10 @@ def rerank(
     Ties break by ascending doc_id;
     texts with no in-vocabulary tokens score +inf and sink to the bottom.
 
-    Each distinct reranked document is tokenized once, up front, into
-    vocabulary-row ids; each question then takes one matrix product
-    against its documents' vocabulary (:func:`rwmd_many`).
+    Each distinct reranked document is tokenized once, up front, and all
+    of them are mapped to vocabulary rows in one call; each question then
+    takes one matrix product against its documents' vocabulary
+    (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -181,11 +181,12 @@ def rerank(
     if missing_d:
         raise UnknownIds("run references documents missing from the corpus", missing_d)
 
-    doc_rows: dict[str, np.ndarray] = {}
-    for qid in active_qids:
-        for doc_id, _ in run.per_question[qid][:depth]:
-            if doc_id not in doc_rows:
-                doc_rows[doc_id] = store.rows(tokenize(documents[doc_id].text, stopwords))
+    head_ids = list(dict.fromkeys(
+        doc_id for qid in active_qids for doc_id, _ in run.per_question[qid][:depth]))
+    rows, bounds = store.rows_many(tokenize(documents[doc_id].text, stopwords)
+                                   for doc_id in head_ids)
+    doc_rows = {doc_id: rows[lo:hi]
+                for doc_id, (lo, hi) in zip(head_ids, itertools.pairwise(bounds.tolist()))}
 
     def one(qid: str) -> tuple[str, list[tuple[str, float]]]:
         entries = run.per_question[qid]
@@ -240,14 +241,14 @@ def build_corpus_index(
     corpus before the centroids are taken; otherwise the store must
     already carry IDF scores when mode is "centidf".
     """
-    make_centroid = _centroid_fn(mode)
+    _centroid_fn(mode)  # rejects an unknown mode before any work
     if stopwords is None:
         stopwords = default_stopwords()
     records = list(documents)
     tokenized = [tokenize(record.text, stopwords) for record in records]
     if compute_idf:
         store.compute_idf(tokenized)
-    matrix = np.array([make_centroid(text, store).vec for text in tokenized])
-    # The reshape keeps an empty corpus a (0, dim) matrix.
-    return CentroidIndex.from_matrix([record.id for record in records],
-                                     matrix.reshape(len(records), store.dim), mode=mode)
+    rows, bounds = store.rows_many(tokenized)
+    del tokenized  # the token lists are not needed for the centroids
+    matrix = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"))
+    return CentroidIndex.from_matrix([record.id for record in records], matrix, mode=mode)

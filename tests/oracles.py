@@ -6,10 +6,14 @@ or vectorization strategy with the package, so agreement is meaningful.
 
 import heapq
 import math
+import re
 
 import numpy as np
 
 from centroid_ir import DimensionMismatch, ParseError
+
+# Letters and digits only: \w minus the underscore, Unicode-aware.
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 def brute_average_precision(ranking, rel):
@@ -212,3 +216,17 @@ def brute_load_embeddings(path):
     vocab = {token: row for row, token in enumerate(vectors)}
     matrix = np.array(list(vectors.values()), dtype=np.float32).reshape(len(vectors), dim)
     return vocab, matrix
+
+
+def brute_tokenize(text, stopwords=frozenset()):
+    """The token list of ``text`` by regular expression: lowercase, take
+    the runs of letters and digits, drop stop words and pure-digit tokens
+    of length 1."""
+    tokens = []
+    for token in _TOKEN_RE.findall(text.lower()):
+        if token in stopwords:
+            continue
+        if len(token) == 1 and token.isdigit():
+            continue
+        tokens.append(token)
+    return tokens

@@ -7,6 +7,7 @@ from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
                          EmbeddingStore, StateError, TokenizedText,
                          build_corpus_index, centroid_idf, centroid_simple,
                          cosine, tokenize)
+from centroid_ir.centroids import centroid_matrix
 from conftest import make_store, random_store
 from oracles import brute_centroid
 
@@ -210,3 +211,32 @@ class TestBruteCentroidOracle:
         assert index.mode == mode
         assert index.doc_ids.tolist() == expected.doc_ids.tolist()
         np.testing.assert_allclose(index.unit_matrix, expected.unit_matrix, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cent", "centidf"])
+    def test_corpus_rows_equal_per_text_centroids(self, seed, mode):
+        # The corpus adds an empty text and an all-stop-word text to the
+        # all-out-of-vocabulary and zero-IDF texts of the case.
+        store, vectors, idf, n_docs, texts = self.case(seed)
+        stop = frozenset({"w0", "w1"})
+        texts = texts + [[], ["w0", "w1", "w0"]]
+        kept = [[t for t in tokens if t not in stop] for tokens in texts]
+        fn, table = (centroid_idf, idf) if mode == "centidf" else (centroid_simple, None)
+        per_text = np.array([fn(TokenizedText.from_tokens(tokens), store).vec
+                             for tokens in kept])
+        want = [brute_centroid(tokens, vectors, table, n_docs)[0] for tokens in kept]
+
+        tokenized = [TokenizedText.from_tokens(tokens) for tokens in kept]
+        matrix = centroid_matrix(*store.rows_many(tokenized), store, idf=mode == "centidf")
+        assert matrix.tobytes() == per_text.astype(np.float32).tobytes()
+        np.testing.assert_allclose(per_text, want, rtol=0, atol=1e-12)
+
+        records = [DocumentRecord(f"d{i}", "", " ".join(tokens))
+                   for i, tokens in enumerate(texts)]
+        index = build_corpus_index(records, store, mode=mode, stopwords=stop)
+        ids = [r.id for r in records]
+        expected = CentroidIndex.from_matrix(ids, per_text, mode=mode)
+        assert index.unit_matrix.tobytes() == expected.unit_matrix.tobytes()
+        np.testing.assert_allclose(
+            index.unit_matrix, CentroidIndex.from_matrix(ids, np.array(want)).unit_matrix,
+            rtol=0, atol=1e-12)

@@ -79,6 +79,12 @@ class TestLoadEmbeddings:
         assert len(store) == 0
         assert store.matrix.shape == (0, 3)
 
+    @pytest.mark.parametrize("content", ["0 -2\n", "-1 3\n", "-1 3\na 1 2 3\n"])
+    def test_negative_header_names_line_1(self, tmp_path, content):
+        with pytest.raises(ParseError, match="line 1: .*negative") as exc:
+            load_embeddings(_write(tmp_path, content))
+        assert exc.value.line_no == 1
+
 
 def _random_lines(rng, n, dim, words):
     """Vector lines whose components span float32's range, with 17 digits."""
@@ -185,6 +191,30 @@ class TestStoreRows:
     def test_permuted_rows_accepted(self):
         store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32))
         assert store.rows(TokenizedText.from_tokens(["a", "b"])).tolist() == [0, 1]
+
+    def test_rows_many_equals_rows_per_text(self):
+        rng = np.random.default_rng(23)
+        words = [f"w{i}" for i in range(12)]
+        store = EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(12))},
+                               rng.normal(size=(12, 3)).astype(np.float32))
+        pool = words + ["oov1", "oov2"]
+        texts = [TokenizedText.from_tokens(rng.choice(pool, size=rng.integers(0, 15)).tolist())
+                 for _ in range(60)]
+        texts += [TokenizedText(), TokenizedText.from_tokens(["oov1", "oov2"])]
+        rows, bounds = store.rows_many(texts)
+        assert rows.dtype == bounds.dtype == np.intp
+        assert bounds[0] == 0 and bounds[-1] == len(rows) and len(bounds) == len(texts) + 1
+        for i, text in enumerate(texts):
+            want = [store.vocab[t] for t in text.tokens if t in store.vocab]
+            assert rows[bounds[i]:bounds[i + 1]].tolist() == want
+            assert store.rows(text).tolist() == want
+            assert store.rows(text).dtype == np.intp
+
+    def test_rows_many_of_no_texts(self):
+        store = EmbeddingStore({"a": 0}, np.eye(1, dtype=np.float32))
+        rows, bounds = store.rows_many([])
+        assert rows.size == 0
+        assert bounds.tolist() == [0]
 
 
 class TestComputeIdf:

@@ -412,6 +412,18 @@ class TestBuildCorpusIndex:
         assert np.all(index.unit_matrix[0] == 0.0)
         assert np.allclose(index.unit_matrix[1], [1.0, 0.0])
 
+    @pytest.mark.parametrize("abstract", ["alpha", ""])
+    def test_centidf_without_idf(self, abstract):
+        # A non-empty corpus needs IDF scores, even when its text is empty;
+        # an empty corpus gives an empty index.
+        store = make_store({"alpha": [1.0, 0.0]})
+        docs = [DocumentRecord(id="d1", title="", abstract=abstract)]
+        with pytest.raises(StateError):
+            build_corpus_index(docs, store, mode="centidf", stopwords=STOP)
+        index = build_corpus_index([], store, mode="centidf", stopwords=STOP)
+        assert index.n_docs == 0
+        assert index.unit_matrix.shape == (0, 2)
+
     def test_empty_corpus_keeps_store_dim(self):
         store = make_store({"alpha": [1.0, 0.0, 0.0]})
         index = build_corpus_index([], store, mode="cent", stopwords=STOP)
