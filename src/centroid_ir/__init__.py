@@ -18,7 +18,7 @@ from .evaluation import (EvalReport, average_precision, evaluate,
                          interpolated_precision_curve, ndcg_at_k, read_qrels,
                          report_table, report_to_dict, report_to_json)
 from .index import (DEFAULT_LEAF_CAP, DEFAULT_SEED, DEFAULT_TREES,
-                    CentroidIndex, build_exact, load_index, save_index)
+                    CentroidIndex, load_index, save_index)
 from .retrieval import (DEFAULT_K, Question, build_corpus_index, hybrid,
                         load_questions, rerank, retrieve)
 from .runs import RankedRun, read_run, write_run
@@ -33,7 +33,7 @@ __all__ = [
     "DocumentRecord", "DuplicateId", "EmbeddedText", "EmbeddingStore",
     "EngineError", "EvalReport", "EvaluationError", "IndexFormatError",
     "ParseError", "Question", "RankedRun", "StateError", "TokenizedText",
-    "UnknownIds", "average_precision", "build_corpus_index", "build_exact",
+    "UnknownIds", "average_precision", "build_corpus_index",
     "centroid_idf", "centroid_simple", "compute_idf", "cosine",
     "default_stopwords", "document_frequencies", "embed_text", "evaluate",
     "hybrid", "interpolated_precision_curve",

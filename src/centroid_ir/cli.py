@@ -236,10 +236,10 @@ def cmd_evaluate(ns) -> int:
 
 def cmd_idf(ns) -> int:
     stopwords = _load_stopword_set(ns)
-    docs = [tokenize(record.text, stopwords) for record in iter_corpus(ns.corpus)]
-    idf = emb.compute_idf(docs)
-    emb.save_idf(ns.out, idf, len(docs))
-    _log(f"idf over {len(docs)} documents, {len(idf)} tokens -> {ns.out}")
+    docs = (tokenize(record.text, stopwords) for record in iter_corpus(ns.corpus))
+    idf, n_docs = emb.compute_idf(docs)
+    emb.save_idf(ns.out, idf, n_docs)
+    _log(f"idf over {n_docs} documents, {len(idf)} tokens -> {ns.out}")
     return 0
 
 

@@ -109,10 +109,9 @@ class EmbeddingStore:
             map(self.idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
 
     def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
-        """Compute IDF scores over ``docs`` and attach them."""
-        docs = list(docs)
-        idf = compute_idf(docs)
-        self.set_idf(idf, len(docs))
+        """Compute IDF scores over ``docs``, read once, and attach them."""
+        idf, n_docs = compute_idf(docs)
+        self.set_idf(idf, n_docs)
         return idf
 
     def idf_of(self, token: str) -> float:
@@ -139,13 +138,14 @@ def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int],
     return dict(df), n_docs
 
 
-def compute_idf(docs: Iterable[TokenizedText]) -> dict[str, float]:
+def compute_idf(docs: Iterable[TokenizedText]) -> tuple[dict[str, float], int]:
     """idf(w) = ln(n_docs / df(w)) over a stream of tokenized documents.
 
-    An empty stream yields an empty map.
+    Returns the IDF map and the number of documents read, the pair that
+    :func:`load_idf` returns.  An empty stream yields ``({}, 0)``.
     """
     df, n_docs = document_frequencies(docs)
-    return {token: math.log(n_docs / n) for token, n in df.items()}
+    return {token: math.log(n_docs / n) for token, n in df.items()}, n_docs
 
 
 def load_embeddings(path) -> EmbeddingStore:

@@ -39,6 +39,7 @@ MAGIC = b"CRVI"
 VERSION = 2
 
 MODES = ("cent", "centidf")
+_MODE_CODES = (None, *MODES)
 
 DEFAULT_TREES = 100
 DEFAULT_LEAF_CAP = 32
@@ -104,6 +105,8 @@ class CentroidIndex:
 
     ``mode`` records which centroid variant ("cent" or "centidf") the
     rows were built from, or None when unknown; the index file keeps it.
+    The constructor checks every invariant of an index, raising
+    :class:`DuplicateId` for a repeated id and ``ValueError`` otherwise.
     """
 
     def __init__(self, doc_ids, unit_matrix: np.ndarray, forest: list[Tree] | None = None,
@@ -111,9 +114,22 @@ class CentroidIndex:
                  mode: str | None = None):
         self.doc_ids = np.asarray(doc_ids, dtype=np.str_)
         self.unit_matrix = np.ascontiguousarray(unit_matrix, dtype=np.float32)
-        if self.unit_matrix.ndim != 2 or self.unit_matrix.shape[0] != self.doc_ids.shape[0]:
+        if (self.doc_ids.ndim != 1 or self.unit_matrix.ndim != 2
+                or self.unit_matrix.shape[0] != self.doc_ids.shape[0]):
             raise ValueError("unit_matrix rows must match doc_ids")
+        n_docs = self.doc_ids.shape[0]
+        if n_docs >= 2**31:
+            raise ValueError("index larger than supported (2^31 documents)")
+        if len(set(self.doc_ids.tolist())) != n_docs:
+            raise DuplicateId("repeated document id")
+        if not np.isfinite(self.unit_matrix).all():
+            raise ValueError("non-finite value in the centroid matrix")
+        if mode not in _MODE_CODES:
+            raise ValueError(f"unknown centroid mode {mode!r}")
         self.forest: list[Tree] = list(forest) if forest else []
+        for t, tree in enumerate(self.forest):
+            if problem := _tree_problem(tree, n_docs):
+                raise ValueError(f"tree {t}: {problem}")
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
         self.mode = mode
@@ -126,24 +142,15 @@ class CentroidIndex:
         """Normalize centroid rows to unit length and index them.
 
         Zero centroids are kept as zero rows; they score 0 against every
-        query.  Duplicate document ids and non-finite values are rejected.
+        query.  A row holding ``inf`` normalizes to NaN, which the
+        constructor rejects along with everything else that is invalid.
         """
-        ids = np.asarray(doc_ids, dtype=np.str_)
         matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise ValueError("centroid matrix must be 2-dimensional")
-        if ids.shape[0] != matrix.shape[0]:
-            raise ValueError("doc_ids and matrix rows differ in length")
-        if not np.isfinite(matrix).all():
-            raise ValueError("centroid matrix has non-finite values")
-        if ids.shape[0] >= 2**31:
-            raise ValueError("index larger than supported (2^31 documents)")
-        if np.unique(ids).shape[0] != ids.shape[0]:
-            raise DuplicateId("duplicate document ids in index input")
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+        norms = np.sqrt(np.einsum("...j,...j->...", matrix, matrix, dtype=np.float64))
         safe = np.where(norms == 0.0, 1.0, norms).astype(np.float32)
-        unit = matrix / safe[:, None]
-        return cls(ids, unit, mode=mode)
+        with np.errstate(invalid="ignore"):
+            unit = matrix / safe[..., None]
+        return cls(doc_ids, unit, mode=mode)
 
     def build_forest(self, n_trees: int = DEFAULT_TREES, leaf_cap: int = DEFAULT_LEAF_CAP,
                      seed: int = DEFAULT_SEED) -> "CentroidIndex":
@@ -346,32 +353,6 @@ def _mark_fresh(slices: list[np.ndarray], seen: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def build_exact(centroids) -> CentroidIndex:
-    """Index a sequence of (doc_id, centroid) pairs, forest left empty.
-
-    Centroid values may be :class:`~centroid_ir.centroids.Centroid`
-    objects or plain vectors; all must share one dimension.
-    """
-    ids: list[str] = []
-    vecs: list[np.ndarray] = []
-    dim: int | None = None
-    for doc_id, cent in centroids:
-        vec = np.asarray(getattr(cent, "vec", cent), dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError(f"centroid for {doc_id!r} is not a vector")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DimensionMismatch(
-                f"centroid for {doc_id!r} has dim {vec.shape[0]}, expected {dim}")
-        ids.append(str(doc_id))
-        vecs.append(vec)
-    if dim is None:
-        dim = 0
-    matrix = np.vstack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
-    return CentroidIndex.from_matrix(ids, matrix)
-
-
 def _pick_pair(rng: np.random.Generator, X: np.ndarray, idx: np.ndarray):
     """Two distinct positions with non-identical vectors, or None."""
     n = idx.size
@@ -462,13 +443,10 @@ def _build_tree(X: np.ndarray, tree_id: int, seed: int, leaf_cap: int) -> Tree:
 # children, leaf_bounds and leaf_items exactly as :class:`Tree` holds them.
 
 _HEADER = struct.Struct("<4sIIIQIIQI4x")
-_MODE_CODES = (None, *MODES)
 
 
 def save_index(index: CentroidIndex, path) -> None:
     """Write the index in its binary file format (layout above)."""
-    if index.mode not in _MODE_CODES:
-        raise ValueError(f"unknown centroid mode {index.mode!r}")
     raw_ids = [str(doc_id).encode("utf-8") for doc_id in index.doc_ids]
     sections = [
         (np.cumsum([0, *map(len, raw_ids)]), "<i8"),
@@ -551,21 +529,16 @@ def load_index(path) -> CentroidIndex:
         raise bad(f"{len(data) - pos} trailing bytes after the last section")
     if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:
         raise bad("checksum mismatch")
-    if not np.isfinite(matrix).all():
-        raise bad("non-finite value in the centroid matrix")
-    for t, tree in enumerate(forest):
-        problem = _tree_problem(tree, n_docs)
-        if problem:
-            raise bad(f"tree {t}: {problem}")
     offsets = id_offsets.tolist()
     try:
         doc_ids = [id_bytes[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
     except UnicodeDecodeError:
         raise bad("document id is not valid UTF-8") from None
-    if len(set(doc_ids)) != n_docs:
-        raise bad("repeated document id")
-    return CentroidIndex(doc_ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed,
-                         mode=_MODE_CODES[mode_code])
+    try:
+        return CentroidIndex(doc_ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed,
+                             mode=_MODE_CODES[mode_code])
+    except (ValueError, DuplicateId) as exc:
+        raise bad(str(exc)) from None
 
 
 def _tree_problem(tree: Tree, n_docs: int) -> str | None:

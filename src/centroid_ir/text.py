@@ -10,8 +10,8 @@ A separator is any character for which ``str.isalnum()`` is false (the
 regular expression ``[^\\W_]+`` picks out the same tokens).  The split is
 one ``str.translate`` that turns every separator into a space, then
 ``str.split()``; the translation table is filled one code point at a
-time, the first time each code point is seen, and keeps one entry per
-distinct code point for the life of the process.
+time, the first time each code point is seen, and holds only code points
+below U+10000; one above is classified again each time it is seen.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class _SeparatorTable(dict):
 
     def __missing__(self, cp: int) -> int | str:
         value = cp if chr(cp).isalnum() else " "
-        self[cp] = value
+        if cp < 0x10000:
+            self[cp] = value
         return value
 
 

@@ -1,28 +1,10 @@
-import numpy as np
 import pytest
 
 from centroid_ir import EmbeddingStore
-
-
-def make_store(vectors: dict[str, list[float]], idf: dict[str, float] | None = None,
-               n_docs: int | None = None) -> EmbeddingStore:
-    """Build a store straight from token -> vector, skipping file IO."""
-    vocab = {token: i for i, token in enumerate(vectors)}
-    matrix = np.array(list(vectors.values()), dtype=np.float32)
-    store = EmbeddingStore(vocab, matrix)
-    if idf is not None:
-        store.set_idf(idf, n_docs if n_docs is not None else 4)
-    return store
+from stores import make_store
 
 
 @pytest.fixture
 def ab_store() -> EmbeddingStore:
     """Two orthogonal unit words, the workhorse of the hand examples."""
     return make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-
-
-def random_store(rng: np.random.Generator, n_words: int, dim: int) -> EmbeddingStore:
-    words = [f"w{i}" for i in range(n_words)]
-    matrix = rng.normal(size=(n_words, dim)).astype(np.float32)
-    vocab = {w: i for i, w in enumerate(words)}
-    return EmbeddingStore(vocab, matrix)

@@ -21,7 +21,7 @@ from centroid_ir import (CentroidIndex, DocumentRecord, RankedRun,
                          evaluate, hybrid, load_index, rerank, save_index)
 from centroid_ir.cli import main
 from centroid_ir.rwmd import EmbeddedText, rwmd_d, rwmd_max, rwmd_q
-from conftest import make_store, random_store
+from stores import make_store, random_store
 from oracles import brute_average_precision, brute_ip_curve, brute_ndcg
 
 

@@ -8,7 +8,7 @@ from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
                          build_corpus_index, centroid_idf, centroid_simple,
                          cosine, tokenize)
 from centroid_ir.centroids import centroid_matrix
-from conftest import make_store, random_store
+from stores import make_store, random_store
 from oracles import brute_centroid
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
                          StateError, TokenizedText, compute_idf,
                          document_frequencies, load_embeddings, load_idf,
                          save_idf)
-from conftest import make_store
+from stores import make_store
 from oracles import brute_load_embeddings
 
 
@@ -222,20 +223,21 @@ class TestComputeIdf:
         return [TokenizedText.from_tokens(list(tokens)) for tokens in token_lists]
 
     def test_half_the_docs(self):
-        idf = compute_idf(self.docs(["w", "x"], ["w"], ["x"], ["y"]))
+        idf, n = compute_idf(self.docs(["w", "x"], ["w"], ["x"], ["y"]))
+        assert n == 4
         assert idf["w"] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_everywhere_is_zero(self):
-        idf = compute_idf(self.docs(["w"], ["w"], ["w", "z"], ["w"]))
+        idf, _ = compute_idf(self.docs(["w"], ["w"], ["w", "z"], ["w"]))
         assert idf["w"] == 0.0
 
     def test_single_doc(self):
-        idf = compute_idf(self.docs(["w", "w", "q"]))
+        idf, _ = compute_idf(self.docs(["w", "w", "q"]))
         assert idf["w"] == 0.0
         assert idf["q"] == 0.0
 
     def test_empty_corpus(self):
-        assert compute_idf([]) == {}
+        assert compute_idf([]) == ({}, 0)
 
     def test_multiplicity_counts_once(self):
         df, n = document_frequencies(self.docs(["w", "w", "w"], ["x"]))
@@ -248,7 +250,7 @@ class TestComputeIdf:
         docs = self.docs(*(rng.choice(words, size=rng.integers(1, 10)).tolist()
                            for _ in range(30)))
         df, n = document_frequencies(docs)
-        idf = compute_idf(docs)
+        idf, _ = compute_idf(docs)
         for w1 in df:
             for w2 in df:
                 if df[w1] < df[w2]:
@@ -281,6 +283,33 @@ class TestIdfLookup:
         assert store.n_docs == 2
         assert store.idf_of("a") == 0.0
         assert store.idf_of("b") == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_store_compute_idf_reads_a_generator_once(self):
+        token_lists = [["a"], ["a", "b"], ["c"], []]
+        docs = [TokenizedText.from_tokens(t) for t in token_lists]
+        from_list = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        from_stream = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        one_shot = (TokenizedText.from_tokens(t) for t in token_lists)
+        assert from_stream.compute_idf(one_shot) == from_list.compute_idf(docs)
+        assert from_stream.n_docs == from_list.n_docs == 4
+        assert from_stream.idf == from_list.idf
+        assert np.array_equal(from_stream.idf_rows, from_list.idf_rows)
+
+    def test_store_compute_idf_holds_one_document_at_a_time(self):
+        refs = []
+
+        def docs():
+            for tokens in (["a"], ["a", "b"], ["c"], ["b"]):
+                # Only the document the reader is on may still be alive.
+                assert sum(ref() is not None for ref in refs) <= 1
+                doc = TokenizedText.from_tokens(tokens)
+                refs.append(weakref.ref(doc))
+                yield doc
+                del doc
+
+        store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        store.compute_idf(docs())
+        assert store.n_docs == 4
 
 
 class TestIdfFile:

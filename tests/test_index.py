@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from centroid_ir import (CentroidIndex, DimensionMismatch, DuplicateId,
-                         IndexFormatError, StateError, build_exact, cosine,
-                         load_index, save_index)
-from centroid_ir.centroids import Centroid
+                         IndexFormatError, StateError, cosine, load_index,
+                         save_index)
 from oracles import brute_candidates, brute_topk_cosine, route_point
 
 
@@ -17,36 +16,33 @@ def gaussian_index(rng, n, dim, prefix="d") -> tuple[CentroidIndex, np.ndarray]:
 
 
 class TestBuildExact:
+    """Building an index from centroid rows with ``from_matrix``."""
+
     def test_hand_normalization(self):
-        index = build_exact([("doc1", np.array([3.0, 4.0]))])
+        index = CentroidIndex.from_matrix(["doc1"], np.array([[3.0, 4.0]]))
         assert np.allclose(index.unit_matrix[0], [0.6, 0.8], atol=1e-6)
         assert index.doc_ids[0] == "doc1"
 
     def test_empty_corpus(self):
-        index = build_exact([])
+        index = CentroidIndex.from_matrix([], np.zeros((0, 2)))
         assert index.n_docs == 0
         assert index.exact_topk(np.array([]), 5) == []
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DuplicateId):
-            build_exact([("x", [1.0, 0.0]), ("x", [0.0, 1.0])])
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            build_exact([("x", [1.0, 0.0]), ("y", [1.0, 0.0, 0.0])])
-
-    def test_accepts_centroid_objects(self):
-        cent = Centroid(vec=np.array([0.0, 2.0]), norm=2.0, n_known_tokens=1)
-        index = build_exact([("x", cent)])
-        assert np.allclose(index.unit_matrix[0], [0.0, 1.0])
+            CentroidIndex.from_matrix(["x", "x"], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_zero_centroid_kept_as_zero_row(self):
-        index = build_exact([("x", [0.0, 0.0]), ("y", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["x", "y"], [[0.0, 0.0], [1.0, 0.0]])
         assert np.all(index.unit_matrix[0] == 0.0)
 
     def test_nonfinite_row_rejected(self):
         with pytest.raises(ValueError):
             CentroidIndex.from_matrix(["a", "b"], np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            CentroidIndex.from_matrix(["a", "b"], [3.0, 4.0])
 
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(31)
@@ -55,33 +51,75 @@ class TestBuildExact:
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
 
+class TestConstructor:
+    """The constructor rejects every invalid index, whoever builds it."""
+
+    def test_repeated_id(self):
+        with pytest.raises(DuplicateId):
+            CentroidIndex(["a", "a"], np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_row(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CentroidIndex(["a", "b"], np.array([[1.0, 0.0], [bad, 0.0]]))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            CentroidIndex(["a", "b"], np.eye(2), mode="bogus")
+
+    def test_rows_must_match_ids(self):
+        with pytest.raises(ValueError, match="rows"):
+            CentroidIndex(["a", "b", "c"], np.eye(2))
+        with pytest.raises(ValueError, match="rows"):
+            CentroidIndex(["a", "b"], np.ones(2))
+        with pytest.raises(ValueError, match="rows"):
+            CentroidIndex([["a"], ["b"]], np.eye(2))
+
+    def test_forest_of_other_index(self):
+        rng = np.random.default_rng(39)
+        small, _ = gaussian_index(rng, 100, 4)
+        large, _ = gaussian_index(rng, 200, 4)
+        large.build_forest(n_trees=2, leaf_cap=8, seed=1)
+        with pytest.raises(ValueError, match="tree 0"):
+            CentroidIndex(small.doc_ids, small.unit_matrix, forest=large.forest)
+
+    def test_forest_missing_a_row(self):
+        rng = np.random.default_rng(40)
+        index, _ = gaussian_index(rng, 100, 4)
+        index.build_forest(n_trees=2, leaf_cap=8, seed=1)
+        tree = index.forest[1]
+        tree.leaf_items[3] = tree.leaf_items[4]
+        with pytest.raises(ValueError, match="tree 1: .*permutation"):
+            CentroidIndex(index.doc_ids, index.unit_matrix, forest=index.forest)
+
+
 class TestExactTopk:
     def test_hand_example(self):
-        index = build_exact([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        index = CentroidIndex.from_matrix(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         hits = index.exact_topk(np.array([1.0, 0.1]), 1)
         assert [doc for doc, _ in hits] == ["a"]
 
     def test_zero_query_empty(self):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         assert index.exact_topk(np.zeros(2), 5) == []
 
     def test_k_larger_than_corpus(self):
-        index = build_exact([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        index = CentroidIndex.from_matrix(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         hits = index.exact_topk(np.array([2.0, 1.0]), 10)
         assert [doc for doc, _ in hits] == ["a", "b"]
         assert hits[0][1] > hits[1][1]
 
     def test_k_zero(self):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         assert index.exact_topk(np.array([1.0, 0.0]), 0) == []
 
     def test_ties_break_by_ascending_id(self):
-        index = build_exact([("z", [1.0, 0.0]), ("a", [1.0, 0.0]), ("m", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["z", "a", "m"], [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         hits = index.exact_topk(np.array([1.0, 0.0]), 2)
         assert [doc for doc, _ in hits] == ["a", "m"]
 
     def test_dimension_mismatch(self):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         with pytest.raises(DimensionMismatch):
             index.exact_topk(np.array([1.0, 0.0, 0.0]), 1)
 
@@ -116,7 +154,7 @@ class TestExactTopk:
 
 class TestBuildForest:
     def test_single_point_single_leaf(self):
-        index = build_exact([("only", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["only"], [[1.0, 0.0]])
         index.build_forest(n_trees=3, leaf_cap=4, seed=1)
         for tree in index.forest:
             assert tree.n_internal == 0
@@ -181,14 +219,14 @@ class TestBuildForest:
                 assert np.all(np.abs(norms - 1.0) < 1e-6)
 
     def test_empty_index_rejected(self):
-        index = build_exact([])
+        index = CentroidIndex.from_matrix([], np.zeros((0, 2)))
         with pytest.raises(StateError):
             index.build_forest(n_trees=2, leaf_cap=4, seed=1)
 
 
 class TestAnnTopk:
     def test_without_forest_raises(self):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         with pytest.raises(StateError, match="exact_topk"):
             index.ann_topk(np.array([1.0, 0.0]), 1)
 
@@ -350,7 +388,7 @@ class TestCandidatesMatchOracle:
 
 class TestPersistence:
     def test_roundtrip_single_doc(self, tmp_path):
-        index = build_exact([("only", [3.0, 4.0])])
+        index = CentroidIndex.from_matrix(["only"], [[3.0, 4.0]])
         index.build_forest(n_trees=2, leaf_cap=4, seed=9)
         path = tmp_path / "tiny.crvi"
         save_index(index, path)
@@ -382,7 +420,7 @@ class TestPersistence:
                     q, 15, search_k=search_k)
 
     def test_exact_only_roundtrip(self, tmp_path):
-        index = build_exact([("a", [1.0, 0.0]), ("b", [0.5, 0.5])])
+        index = CentroidIndex.from_matrix(["a", "b"], [[1.0, 0.0], [0.5, 0.5]])
         path = tmp_path / "flat.crvi"
         save_index(index, path)
         loaded = load_index(path)
@@ -390,13 +428,13 @@ class TestPersistence:
         assert loaded.structural_eq(index)
 
     def test_magic_bytes(self, tmp_path):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         path = tmp_path / "x.crvi"
         save_index(index, path)
         assert path.read_bytes()[:4] == b"CRVI"
 
     def test_corrupt_magic(self, tmp_path):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         path = tmp_path / "x.crvi"
         save_index(index, path)
         blob = bytearray(path.read_bytes())
@@ -406,7 +444,7 @@ class TestPersistence:
             load_index(path)
 
     def test_unsupported_version(self, tmp_path):
-        index = build_exact([("a", [1.0, 0.0])])
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
         path = tmp_path / "x.crvi"
         save_index(index, path)
         blob = bytearray(path.read_bytes())
@@ -446,7 +484,7 @@ class TestPersistence:
 
     def test_unknown_mode_code(self, tmp_path):
         path = tmp_path / "x.crvi"
-        save_index(build_exact([("a", [1.0, 0.0])]), path)
+        save_index(CentroidIndex.from_matrix(["a"], [[1.0, 0.0]]), path)
         blob = bytearray(path.read_bytes())
         blob[28:32] = (9).to_bytes(4, "little")  # the header's mode field
         path.write_bytes(bytes(blob))
@@ -562,7 +600,7 @@ class TestCorruptIndex:
             load_index(path)
 
     def test_repeated_doc_id(self, tmp_path):
-        path = tmp_path / "dup.crvi"
-        save_index(CentroidIndex(["a", "a"], np.eye(2)), path)
+        def damage(index):
+            index.doc_ids[1] = index.doc_ids[0]
         with pytest.raises(IndexFormatError, match="repeated document id"):
-            load_index(path)
+            load_index(self.saved(tmp_path, damage))

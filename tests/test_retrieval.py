@@ -8,7 +8,7 @@ from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
                          UnknownIds, build_corpus_index, embed_text, hybrid,
                          rerank, retrieve, tokenize)
 from centroid_ir.rwmd import SCORERS
-from conftest import make_store, random_store
+from stores import make_store, random_store
 
 STOP = frozenset({"the", "of", "and"})
 

@@ -6,7 +6,7 @@ import pytest
 from centroid_ir import (DimensionMismatch, TokenizedText, embed_text,
                          rwmd_d, rwmd_max, rwmd_q)
 from centroid_ir.rwmd import EmbeddedText
-from conftest import random_store
+from stores import random_store
 
 
 def embedded(*pairs, dim=2):
