@@ -180,14 +180,14 @@ def cmd_search(ns) -> int:
 
     t0 = time.perf_counter()
     run = retrieve(questions, index, store, mode=mode, engine=engine, k=ns.k,
-                   search_k=ns.search_k, stopwords=stopwords, threads=ns.threads)
+                   search_k=ns.search_k, stopwords=stopwords)
     t_search = time.perf_counter() - t0
 
     t_rerank = 0.0
     if documents is not None:
         t0 = time.perf_counter()
         run = rerank(run, questions, documents, store, method=ns.rerank,
-                     stopwords=stopwords, depth=ns.rerank_depth, threads=ns.threads)
+                     stopwords=stopwords, depth=ns.rerank_depth)
         t_rerank = time.perf_counter() - t0
 
     write_run(run, ns.out)
@@ -207,7 +207,7 @@ def cmd_rerank(ns) -> int:
     documents = load_corpus(ns.corpus)
     t0 = time.perf_counter()
     out = rerank(run, questions, documents, store, method=ns.method,
-                 stopwords=stopwords, depth=ns.rerank_depth, threads=ns.threads)
+                 stopwords=stopwords, depth=ns.rerank_depth)
     _log(f"rerank: {time.perf_counter() - t0:.3f} s")
     write_run(out, ns.out)
     return 0
@@ -283,8 +283,6 @@ def _build_parser():
     c.opt("--corpus", help="corpus file, needed when reranking")
     c.opt("--idf-file", help="IDF file for centidf (default: recorded with index)")
     c.opt("--stopwords")
-    c.opt("--threads", type=int, default=1,
-          help="question pool size (default 1)")
     commands["search"] = (c, cmd_search)
 
     c = _Command(sub, "rerank", "rerank an existing run file by relaxed WMD")
@@ -296,8 +294,6 @@ def _build_parser():
     c.opt("--method", default="rwmd_q", choices=sorted(SCORERS))
     c.opt("--rerank-depth", type=int)
     c.opt("--stopwords")
-    c.opt("--threads", type=int, default=1,
-          help="question pool size (default 1)")
     commands["rerank"] = (c, cmd_rerank)
 
     c = _Command(sub, "hybrid", "fall back to a second run where the first is empty")

@@ -22,11 +22,20 @@ class DocumentRecord:
         return f"{self.title} {self.abstract}".strip()
 
 
+def record_id(obj: dict, line_no: int, path) -> str:
+    """A JSON-lines record's ``id`` as text: a JSON string or integer."""
+    value = obj["id"]
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise ParseError("'id' must be a JSON string or integer", line_no=line_no, path=path)
+
+
 def iter_corpus(path) -> Iterator[DocumentRecord]:
     """Stream documents from a JSON-lines corpus file.
 
     Each line is an object with fields ``id``, ``title``, ``abstract``;
-    other fields are ignored.
+    other fields are ignored.  A missing or null title or abstract reads
+    as ``""``; any other non-string one raises :class:`ParseError`.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -39,11 +48,13 @@ def iter_corpus(path) -> Iterator[DocumentRecord]:
             if not isinstance(obj, dict) or "id" not in obj:
                 raise ParseError("document object lacks an 'id' field",
                                  line_no=line_no, path=path)
-            yield DocumentRecord(
-                id=str(obj["id"]),
-                title=str(obj.get("title", "")),
-                abstract=str(obj.get("abstract", "")),
-            )
+            doc_id = record_id(obj, line_no, path)
+            title, abstract = ("" if obj.get(key) is None else obj[key]
+                               for key in ("title", "abstract"))
+            if not (isinstance(title, str) and isinstance(abstract, str)):
+                raise ParseError("'title' and 'abstract' must be JSON strings or null",
+                                 line_no=line_no, path=path)
+            yield DocumentRecord(id=doc_id, title=title, abstract=abstract)
 
 
 def load_corpus(path) -> dict[str, DocumentRecord]:

@@ -128,7 +128,7 @@ class CentroidIndex:
             raise ValueError(f"unknown centroid mode {mode!r}")
         self.forest: list[Tree] = list(forest) if forest else []
         for t, tree in enumerate(self.forest):
-            if problem := _tree_problem(tree, n_docs):
+            if problem := _tree_problem(tree, n_docs, self.unit_matrix.shape[1]):
                 raise ValueError(f"tree {t}: {problem}")
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
@@ -142,14 +142,20 @@ class CentroidIndex:
         """Normalize centroid rows to unit length and index them.
 
         Zero centroids are kept as zero rows; they score 0 against every
-        query.  A row holding ``inf`` normalizes to NaN, which the
-        constructor rejects along with everything else that is invalid.
+        query.  Each row is divided in float32 by its float64 norm cast to
+        float32; a row whose norm exceeds float32's range (one holding
+        ``inf``, say) raises ``ValueError``.  The constructor rejects
+        everything else that is invalid, such as a NaN.
         """
-        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        norms = np.sqrt(np.einsum("...j,...j->...", matrix, matrix, dtype=np.float64))
-        safe = np.where(norms == 0.0, 1.0, norms).astype(np.float32)
-        with np.errstate(invalid="ignore"):
-            unit = matrix / safe[..., None]
+        with np.errstate(over="ignore"):
+            matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+            norms = np.sqrt(np.einsum("...j,...j->...", matrix, matrix, dtype=np.float64))
+            safe = np.where(norms == 0.0, 1.0, norms).astype(np.float32)
+        too_long = np.isinf(safe)
+        if too_long.any():
+            row = int(np.argmax(too_long))
+            raise ValueError(f"centroid row {row} has a norm beyond float32's range")
+        unit = matrix / safe[..., None]
         return cls(doc_ids, unit, mode=mode)
 
     def build_forest(self, n_trees: int = DEFAULT_TREES, leaf_cap: int = DEFAULT_LEAF_CAP,
@@ -541,14 +547,20 @@ def load_index(path) -> CentroidIndex:
         raise bad(str(exc)) from None
 
 
-def _tree_problem(tree: Tree, n_docs: int) -> str | None:
-    """Why ``tree`` is not a partition tree over ``n_docs`` rows, or None.
+def _tree_problem(tree: Tree, n_docs: int, dim: int) -> str | None:
+    """Why ``tree`` is not a partition tree over ``n_docs`` rows of ``dim``, or None.
 
-    Each node must be referenced exactly once, and an internal child must
-    have a larger id than its parent, as :func:`_build_tree`'s preorder
+    The arrays must have the shapes :class:`Tree` documents.  Each node
+    must be referenced exactly once, and an internal child must have a
+    larger id than its parent, as :func:`_build_tree`'s preorder
     numbering gives; together these rule out cycles.
     """
     n_internal, n_leaves = tree.n_internal, tree.n_leaves
+    shapes = {"normals": (n_internal, dim), "offsets": (n_internal,),
+              "children": (n_internal, 2), "leaf_items": (n_docs,)}
+    for name, want in shapes.items():
+        if (got := getattr(tree, name).shape) != want:
+            return f"{name} has shape {got}, expected {want}"
     refs = np.concatenate(([tree.root], tree.children.ravel()))
     if np.any((refs < -n_leaves) | (refs >= n_internal)):
         return "node reference out of range"

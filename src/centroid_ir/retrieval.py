@@ -9,18 +9,20 @@ The building blocks compose into the named systems:
   imported external baseline run + rwmd_q.
 * ``hybrid`` combines two runs: a question falls back to the second
   run's list exactly when the first run returned nothing for it.
+
+Questions are answered one after another on the calling thread; exact
+scoring's parallelism is the BLAS library's own.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .centroids import centroid_idf, centroid_matrix, centroid_simple
-from .corpus import DocumentRecord
+from .corpus import DocumentRecord, record_id
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
 from .index import MODES, CentroidIndex
@@ -40,7 +42,7 @@ class Question:
 
 
 def load_questions(path) -> list[Question]:
-    """Read questions from a JSON-lines file with fields ``id`` and ``text``."""
+    """Read JSON-lines questions: a string or integer ``id``, a string ``text``."""
     questions: list[Question] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -54,19 +56,14 @@ def load_questions(path) -> list[Question]:
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise ParseError("question object needs 'id' and 'text' fields",
                                  line_no=line_no, path=path)
-            qid = str(obj["id"])
+            qid = record_id(obj, line_no, path)
+            if not isinstance(obj["text"], str):
+                raise ParseError("'text' must be a JSON string", line_no=line_no, path=path)
             if qid in seen:
                 raise DuplicateId(f"duplicate question id {qid!r} in {path}")
             seen.add(qid)
-            questions.append(Question(qid=qid, text=str(obj["text"])))
+            questions.append(Question(qid=qid, text=obj["text"]))
     return questions
-
-
-def _map_questions(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _centroid_fn(mode: str):
@@ -92,9 +89,10 @@ def retrieve(
 
     A question whose centroid is zero (all tokens out of vocabulary or
     stop words) gets an empty list rather than an arbitrary ranking.
-    ``k``, ``search_k`` and ``threads`` must be at least 1.  Raises
+    ``k`` and ``search_k`` must be at least 1.  Raises
     :class:`ConfigMismatch` when the index records a centroid mode other
-    than the one requested.
+    than the one requested.  ``threads`` is accepted for callers that
+    still pass it and must be at least 1; it has no effect.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -110,28 +108,19 @@ def retrieve(
             f"index was built with {index.mode!r} centroids, queried with {mode!r}")
     if stopwords is None:
         stopwords = default_stopwords()
-    questions = list(questions)
-    _check_unique_qids(questions)
 
-    def one(question: Question) -> list[tuple[str, float]]:
+    per_question: dict[str, list[tuple[str, float]]] = {}
+    for question in questions:
+        if question.qid in per_question:
+            raise DuplicateId(f"duplicate question id {question.qid!r} in batch")
         cent = make_centroid(tokenize(question.text, stopwords), store)
         if cent.is_zero:
-            return []
-        if engine == "ann":
-            return index.ann_topk(cent, k, search_k=search_k)
-        return index.exact_topk(cent, k)
-
-    results = _map_questions(one, questions, threads)
-    per_question = {q.qid: hits for q, hits in zip(questions, results)}
+            per_question[question.qid] = []
+        elif engine == "ann":
+            per_question[question.qid] = index.ann_topk(cent, k, search_k=search_k)
+        else:
+            per_question[question.qid] = index.exact_topk(cent, k)
     return RankedRun(tag=f"{mode}-{engine}", per_question=per_question)
-
-
-def _check_unique_qids(questions: Sequence[Question]) -> None:
-    seen: set[str] = set()
-    for q in questions:
-        if q.qid in seen:
-            raise DuplicateId(f"duplicate question id {q.qid!r} in batch")
-        seen.add(q.qid)
 
 
 def rerank(
@@ -149,9 +138,11 @@ def rerank(
     The document set per question is preserved exactly; only the order
     and the scores change (scores become distances).  ``depth`` limits
     reranking to the top so-many documents, leaving the tail in its
-    original order behind them; it and ``threads`` must be at least 1.
+    original order behind them; it must be at least 1.
     Ties break by ascending doc_id;
     texts with no in-vocabulary tokens score +inf and sink to the bottom.
+    ``threads`` is accepted for callers that still pass it and must be at
+    least 1; it has no effect.
 
     Each distinct reranked document is tokenized once, up front, and all
     of them are mapped to vocabulary rows in one call; each question then
@@ -188,19 +179,14 @@ def rerank(
     doc_rows = {doc_id: rows[lo:hi]
                 for doc_id, (lo, hi) in zip(head_ids, itertools.pairwise(bounds.tolist()))}
 
-    def one(qid: str) -> tuple[str, list[tuple[str, float]]]:
+    per_question: dict[str, list[tuple[str, float]]] = {qid: [] for qid in run.per_question}
+    for qid in active_qids:
         entries = run.per_question[qid]
-        if not entries:
-            return qid, []
         q_emb = embed_text(tokenize(question_texts[qid], stopwords), store)
         head = [doc_id for doc_id, _ in entries[:depth]]
         dists = rwmd_many(q_emb, [doc_rows[doc_id] for doc_id in head], store, method)
         reranked = [(doc_id, dist) for dist, doc_id in sorted(zip(dists.tolist(), head))]
-        return qid, reranked + list(entries[len(head):])
-
-    qids = list(run.per_question)
-    results = _map_questions(one, qids, threads)
-    per_question = dict(results)
+        per_question[qid] = reranked + list(entries[len(head):])
     suffix = method.replace("_", "")
     tag = f"{run.tag}-{suffix}" if run.tag else suffix
     return RankedRun(tag=tag, per_question=per_question)

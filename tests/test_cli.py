@@ -112,15 +112,13 @@ class TestSearch:
             assert re.search(rf"^{stage}: \d+\.\d{{3}} s$", err, re.M), stage
 
     @pytest.mark.parametrize("command", ["search", "rerank"])
-    def test_threads_default_to_one(self, command):
+    def test_no_threads_option(self, command, tmp_path, capsys):
         _, commands = _build_parser()
-        assert commands[command][0].defaults["threads"] == 1
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_threads_below_one_exit_3(self, workspace, value):
-        build(workspace)
-        assert self.search(workspace, "x.txt", "--threads", value) == 3
-        assert not (workspace / "x.txt").exists()
+        assert "--threads" not in commands[command][0].parser.format_help()
+        config = tmp_path / "run.conf"
+        config.write_text("threads = 2\n")
+        assert main([command, "--config", str(config)]) == 3
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_stopword_question_absent_from_body(self, workspace):
         build(workspace)
@@ -207,19 +205,6 @@ class TestRerankCommand:
                      "--corpus", str(workspace / "corpus.jsonl"),
                      "--embeddings", str(workspace / "vectors.txt"),
                      "--out", str(out), "--rerank-depth", "0"])
-        assert code == 3
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_threads_below_one_exit_3(self, workspace, value):
-        run = workspace / "external.txt"
-        run.write_text("q1 Q0 d2 1 5.0 pubmedse\nq1 Q0 d1 2 4.0 pubmedse\n")
-        out = workspace / "reranked.txt"
-        code = main(["rerank", "--run", str(run),
-                     "--questions", str(workspace / "questions.jsonl"),
-                     "--corpus", str(workspace / "corpus.jsonl"),
-                     "--embeddings", str(workspace / "vectors.txt"),
-                     "--out", str(out), "--threads", value])
         assert code == 3
         assert not out.exists()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -39,6 +40,22 @@ class TestBuildExact:
     def test_nonfinite_row_rejected(self):
         with pytest.raises(ValueError):
             CentroidIndex.from_matrix(["a", "b"], np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
+    def test_norm_beyond_float32_rejected(self):
+        with pytest.raises(ValueError, match="row 0 has a norm beyond float32"):
+            CentroidIndex.from_matrix(["a", "b"], [[3e38, 3e38], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 1e3, 1e30, 1e37])
+    def test_rows_divide_by_float32_norm(self, scale):
+        # Float32 rows divided by their float64 norm cast to float32: the
+        # bits the index file and every score depend on.
+        rng = np.random.default_rng(41)
+        matrix = (rng.normal(size=(50, 7)) * scale).astype(np.float32)
+        matrix[3] = 0.0
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+        want = matrix / np.where(norms == 0.0, 1.0, norms).astype(np.float32)[:, None]
+        index = CentroidIndex.from_matrix([f"d{i}" for i in range(50)], matrix)
+        assert index.unit_matrix.tobytes() == want.tobytes()
 
     def test_not_a_matrix_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -82,6 +99,40 @@ class TestConstructor:
         large.build_forest(n_trees=2, leaf_cap=8, seed=1)
         with pytest.raises(ValueError, match="tree 0"):
             CentroidIndex(small.doc_ids, small.unit_matrix, forest=large.forest)
+
+    @pytest.mark.parametrize("field, change", [
+        ("normals", lambda a: a[:, :3]),
+        ("offsets", lambda a: np.append(a, 0.0)),
+        ("children", lambda a: np.hstack([a, a[:, :1]])),
+    ])
+    def test_tree_array_shapes(self, field, change):
+        rng = np.random.default_rng(42)
+        index, _ = gaussian_index(rng, 100, 4)
+        index.build_forest(n_trees=1, leaf_cap=8, seed=1)
+        tree = dataclasses.replace(index.forest[0],
+                                   **{field: change(getattr(index.forest[0], field))})
+        with pytest.raises(ValueError, match=f"tree 0: {field} has shape"):
+            CentroidIndex(index.doc_ids, index.unit_matrix, forest=[tree])
+
+    def test_forest_of_other_dimension(self):
+        rng = np.random.default_rng(43)
+        narrow, _ = gaussian_index(rng, 100, 4)
+        wide, _ = gaussian_index(rng, 100, 6)
+        wide.build_forest(n_trees=2, leaf_cap=8, seed=1)
+        with pytest.raises(ValueError, match=r"tree 0: normals has shape \(\d+, 6\)"):
+            CentroidIndex(narrow.doc_ids, narrow.unit_matrix, forest=wide.forest)
+
+    def test_long_leaf_items_cannot_hide_a_repeat(self):
+        rng = np.random.default_rng(44)
+        index, _ = gaussian_index(rng, 100, 4)
+        index.build_forest(n_trees=1, leaf_cap=8, seed=1)
+        tree = index.forest[0]
+        items = tree.leaf_items.copy()
+        dropped = items[4]
+        items[4] = items[3]
+        tree = dataclasses.replace(tree, leaf_items=np.append(items, dropped))
+        with pytest.raises(ValueError, match=r"tree 0: leaf_items has shape \(101,\)"):
+            CentroidIndex(index.doc_ids, index.unit_matrix, forest=[tree])
 
     def test_forest_missing_a_row(self):
         rng = np.random.default_rng(40)

@@ -1,12 +1,13 @@
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
                          EmbeddingStore, Question, RankedRun, StateError,
-                         UnknownIds, build_corpus_index, embed_text, hybrid,
-                         rerank, retrieve, tokenize)
+                         UnknownIds, build_corpus_index, centroid_simple,
+                         embed_text, hybrid, rerank, retrieve, tokenize)
 from centroid_ir.rwmd import SCORERS
 from stores import make_store, random_store
 
@@ -97,9 +98,9 @@ class TestRetrieve:
         assert serial.per_question == threaded.per_question
 
     def test_ann_threads_match_serial(self):
-        # Each pool thread dedups candidates in its own mask and builds the
-        # trees' list views on first use; a fresh index per side makes the
-        # threaded call race for those views.
+        # Each calling thread dedups candidates in its own mask and builds
+        # the trees' list views on first use; a fresh index makes the
+        # threads race for those views.
         rng = np.random.default_rng(81)
         store = random_store(rng, 60, 6)
         words = list(store.vocab)
@@ -109,20 +110,23 @@ class TestRetrieve:
         questions = [Question(f"q{i:02d}", " ".join(rng.choice(words, size=4)))
                      for i in range(160)]
 
-        def run(threads):
+        def fresh_index():
             index = build_corpus_index(docs, store, mode="cent", stopwords=STOP)
-            index.build_forest(n_trees=6, leaf_cap=8, seed=3)
-            return retrieve(questions, index, store, mode="cent", engine="ann", k=10,
-                            search_k=60, stopwords=STOP, threads=threads)
+            return index.build_forest(n_trees=6, leaf_cap=8, seed=3)
 
+        centroids = [centroid_simple(tokenize(q.text, STOP), store) for q in questions]
+        index = fresh_index()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run(4)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda c: index.ann_topk(c, 10, search_k=60),
+                                         centroids))
         finally:
             sys.setswitchinterval(interval)
-        assert threaded.per_question == run(1).per_question
-        assert all(len(hits) == 10 for hits in threaded.per_question.values())
+        serial_index = fresh_index()
+        assert threaded == [serial_index.ann_topk(c, 10, search_k=60) for c in centroids]
+        assert all(len(hits) == 10 for hits in threaded)
 
     @pytest.mark.parametrize("k, search_k", [(0, None), (-1, None), (5, 0), (5, -3)])
     def test_budgets_below_one_rejected(self, toy, k, search_k):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from centroid_ir import (DuplicateId, ParseError, RankedRun, load_corpus,
-                         iter_corpus, read_run, write_run)
+from centroid_ir import (DuplicateId, ParseError, Question, RankedRun,
+                         iter_corpus, load_corpus, load_questions, read_run,
+                         write_run)
 
 
 class TestRunFiles:
@@ -120,3 +121,47 @@ class TestCorpus:
     def test_missing_title_tolerated(self, tmp_path):
         path = self.write_corpus(tmp_path, [{"id": "d1", "abstract": "only body"}])
         assert next(iter_corpus(path)).text == "only body"
+
+    def test_null_abstract_reads_empty(self, tmp_path):
+        path = self.write_corpus(tmp_path, [{"id": "d1", "title": "t", "abstract": None}])
+        record = next(iter_corpus(path))
+        assert (record.title, record.abstract) == ("t", "")
+
+    @pytest.mark.parametrize("field", ["title", "abstract"])
+    @pytest.mark.parametrize("value", [0, 1.5, False, ["a"], {"a": 1}])
+    def test_non_string_text_rejected(self, tmp_path, field, value):
+        path = self.write_corpus(tmp_path, [{"id": "d1", "title": "t", "abstract": "a"},
+                                            {"id": "d2", field: value}])
+        with pytest.raises(ParseError, match="line 2: 'title' and 'abstract'"):
+            list(iter_corpus(path))
+
+    @pytest.mark.parametrize("value", [None, 1.0, True, ["d1"]])
+    def test_non_string_id_rejected(self, tmp_path, value):
+        path = self.write_corpus(tmp_path, [{"id": value, "title": "t"}])
+        with pytest.raises(ParseError, match="line 1: 'id' must be"):
+            list(iter_corpus(path))
+
+
+class TestQuestions:
+    def write_questions(self, tmp_path, rows):
+        path = tmp_path / "questions.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        return path
+
+    def test_string_and_integer_ids(self, tmp_path):
+        path = self.write_questions(tmp_path, [{"id": "q1", "text": "a b"},
+                                               {"id": 7, "text": ""}])
+        assert load_questions(path) == [Question("q1", "a b"), Question("7", "")]
+
+    @pytest.mark.parametrize("value", [None, 3, ["a"], {"a": 1}])
+    def test_non_string_text_rejected(self, tmp_path, value):
+        path = self.write_questions(tmp_path, [{"id": "q1", "text": "a"},
+                                               {"id": "q2", "text": value}])
+        with pytest.raises(ParseError, match="line 2: 'text' must be a JSON string"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("value", [None, 1.0, False, ["q1"]])
+    def test_non_string_id_rejected(self, tmp_path, value):
+        path = self.write_questions(tmp_path, [{"id": value, "text": "a"}])
+        with pytest.raises(ParseError, match="line 1: 'id' must be"):
+            load_questions(path)
