@@ -3,10 +3,14 @@
 Exact retrieval scans every document centroid per query; fine for
 thousands of documents, painful for millions.  The index here grows a
 forest of partition trees (each node splits on the perpendicular bisector
-of two randomly picked points) and answers queries by walking all trees
-through one shared best-first queue until a candidate budget ``search_k``
-is met.  Candidates are then scored by exact cosine, so approximation
-only affects which documents get considered, never their scores.
+of two randomly picked points) and answers queries by taking leaves in
+order of their smallest hyperplane margin until a candidate budget
+``search_k`` is met.  A forest this large relative to the budget is
+walked through one shared best-first queue; a small one (``trees * N``
+at most 64 times the budget) has all its leaves ranked in one vectorized
+pass instead, with the same candidates.  Candidates are then scored by
+exact cosine, so approximation only affects which documents get
+considered, never their scores.
 
 This script measures recall against the exact scan and the latency gap as
 the budget varies, a desk-size rendition of the big-corpus tradeoff.

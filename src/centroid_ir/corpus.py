@@ -23,11 +23,23 @@ class DocumentRecord:
 
 
 def record_id(obj: dict, line_no: int, path) -> str:
-    """A JSON-lines record's ``id`` as text: a JSON string or integer."""
+    """A JSON-lines record's ``id`` as text: a JSON string or integer.
+
+    The id must be one field of a run file: not empty, free of
+    whitespace, and encodable as UTF-8 (a lone surrogate is not).
+    """
     value = obj["id"]
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return str(value)
-    raise ParseError("'id' must be a JSON string or integer", line_no=line_no, path=path)
+    if not (isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))):
+        raise ParseError("'id' must be a JSON string or integer", line_no=line_no, path=path)
+    text = str(value)
+    if text.split() != [text]:
+        raise ParseError("'id' must be non-empty and hold no whitespace",
+                         line_no=line_no, path=path)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("'id' cannot be encoded as UTF-8", line_no=line_no, path=path) from None
+    return text
 
 
 def iter_corpus(path) -> Iterator[DocumentRecord]:

@@ -9,13 +9,17 @@ approximate path searches a forest of random-hyperplane partition trees:
   (normal = normalized difference, offset = normal . midpoint); points with
   ``normal . x - offset >= 0`` go right.  Recursion stops at ``leaf_cap``
   points, or when random picks keep landing on duplicate points.
-* A query walks all trees at once through one shared best-first queue
-  keyed by hyperplane margin, collects distinct candidate rows until the
-  ``search_k`` budget is met, then scores the candidates by exact cosine.
-  Approximation therefore affects which documents are considered, never
-  the score a returned document gets.  Each queue pop reads plain Python
-  lists (:attr:`Tree.lists`), and repeated rows are removed once per
-  budget step rather than once per leaf, with the same candidates.
+* A query collects distinct candidate rows from the trees' leaves in order
+  of priority, the smallest hyperplane margin crossed on the way down,
+  until the ``search_k`` budget is met, then scores the candidates by
+  exact cosine.  Approximation therefore affects which documents are
+  considered, never the score a returned document gets.
+* Two paths collect the same candidates.  When ``n_trees * n_docs`` is
+  small next to ``search_k`` (:data:`_PLAN_RATIO`), a
+  :class:`_ForestPlan` ranks every leaf of the forest in one vectorized
+  pass per query.  Otherwise one best-first queue walks all trees,
+  reading plain Python lists (:attr:`Tree.lists`) per pop and removing
+  repeated rows once per budget step.
 
 Everything is deterministic: the split sampler is seeded per
 (seed, tree, node path), and ties in the final ranking break by ascending
@@ -48,6 +52,12 @@ DEFAULT_SEED = 42
 # One initial pick plus three retries before a duplicate-point node
 # becomes a forced (possibly oversized) leaf.
 _PICK_ATTEMPTS = 4
+
+# A query takes the whole-forest pass when n_trees * n_docs is at most
+# this many times its budget, and the heap walk otherwise: the pass costs
+# about n_trees * n_docs steps, the walk about its pops, which grow with
+# the budget.  Set from a grid of both paths' timings (see CHANGES.md).
+_PLAN_RATIO = 64
 
 
 @dataclass
@@ -100,6 +110,116 @@ class Tree:
         )
 
 
+@dataclass(frozen=True)
+class _ForestPlan:
+    """A forest flattened for ranking all its leaves in one pass per query.
+
+    Internal nodes are numbered across the forest, tree after tree.  Edge
+    ``2 * i`` leads to node ``i``'s left child and carries ``-margin``,
+    edge ``2 * i + 1`` to its right child and carries ``+margin``; edge
+    ``2 * n_internal + t`` is tree ``t``'s root and carries ``+inf``.
+    Leaves are numbered by depth, then tree, then leaf id.  A leaf's path
+    lists the edges from its root down, padded with its root edge, so its
+    priority is the minimum its edges carry: the priority the heap walk
+    gives it.  The arrays are read-only.
+    """
+
+    normals: np.ndarray      # (n_internal, dim) float32, every tree's
+    offsets: np.ndarray      # (n_internal,) float32
+    paths: np.ndarray        # (max(depth, 1), n_leaves) int32 edge ids
+    leaf_of_row: np.ndarray  # (n_trees, n_docs) int32
+
+    @classmethod
+    def build(cls, forest: list[Tree], n_docs: int) -> "_ForestPlan":
+        n_trees = len(forest)
+        n_internal = np.array([tree.n_internal for tree in forest])
+        n_leaves = np.array([tree.n_leaves for tree in forest])
+        node_base = np.cumsum(n_internal) - n_internal
+        leaf_base = np.cumsum(n_leaves) - n_leaves
+
+        def numbered(refs, t):
+            refs = np.asarray(refs, dtype=np.int64)
+            return np.where(refs >= 0, refs + node_base[t], refs - leaf_base[t])
+
+        children = np.concatenate(
+            [numbered(tree.children, t) for t, tree in enumerate(forest)]).reshape(-1, 2)
+        # Descend all trees a level at a time, extending each node's path.
+        # Each level keeps tree order and, within a tree, left to right,
+        # which is leaf-id order; leaves take numbers in the order met.
+        refs = numbered([tree.root for tree in forest], np.arange(n_trees))
+        path = np.empty((n_trees, 0), dtype=np.int32)
+        met, met_paths = [], []
+        while refs.size:
+            leaf = refs < 0
+            met.append(-refs[leaf] - 1)
+            met_paths.append(path[leaf])
+            nodes = refs[~leaf]
+            refs = children[nodes].ravel()
+            edges = (2 * nodes[:, None] + np.arange(2)).astype(np.int32).ravel()
+            path = np.column_stack((np.repeat(path[~leaf], 2, axis=0), edges))
+        met = np.concatenate(met)  # leaf ids, tree after tree, in numbering order
+        paths = np.empty((max(len(met_paths) - 1, 1), met.size), dtype=np.int32)
+        paths[:] = 2 * n_internal.sum() + np.repeat(np.arange(n_trees), n_leaves)[met]
+        start = 0
+        for depth, level in enumerate(met_paths):
+            paths[:depth, start:start + len(level)] = level.T
+            start += len(level)
+        number = np.empty_like(met)
+        number[met] = np.arange(met.size)
+        leaf_of_row = np.empty((n_trees, n_docs), dtype=np.int32)
+        for t, tree in enumerate(forest):
+            leaf_of_row[t, tree.leaf_items] = np.repeat(
+                number[leaf_base[t]:leaf_base[t] + n_leaves[t]], np.diff(tree.leaf_bounds))
+        plan = cls(
+            normals=np.concatenate([tree.normals for tree in forest]),
+            offsets=np.concatenate([tree.offsets for tree in forest]),
+            paths=paths,
+            leaf_of_row=leaf_of_row,
+        )
+        for arr in (plan.normals, plan.offsets, plan.paths, plan.leaf_of_row):
+            arr.flags.writeable = False
+        return plan
+
+    def priorities(self, qv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each leaf's priority for ``qv``, and what its path's edges carry."""
+        # vecdot gives each row the bits of ``normals[i].dot(qv)``, which
+        # the walk computes; ``@`` and einsum do not.  The offsets are
+        # subtracted in float64, as the walk does.
+        margin = np.vecdot(self.normals, qv).astype(np.float64) - self.offsets
+        n_internal = margin.shape[0]
+        carried = np.full(2 * n_internal + self.leaf_of_row.shape[0], np.inf)
+        carried[0:2 * n_internal:2] = -margin
+        carried[1:2 * n_internal:2] = margin
+        on_path = np.take(carried, self.paths)
+        return on_path.min(axis=0), on_path
+
+    def candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray | None:
+        """The heap walk's candidate rows for ``qv``, ascending, or None.
+
+        Leaves are ranked by descending priority, equal priorities by
+        leaf number, and the rows of the shortest prefix of that ranking
+        that holds ``search_k`` distinct rows come back.  Among the leaves
+        whose priority is first reached at one edge, all in one tree, the
+        walk pops equal priorities breadth-first: by depth, then leaf id,
+        which is the numbering's order.  When the leaves tied at the cut
+        first reach their priority at more than one edge, the walk's order
+        may differ, and None asks for the walk instead.
+        """
+        priority, on_path = self.priorities(qv)
+        order = np.argsort(-priority, kind="stable")
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        first = np.take(rank, self.leaf_of_row).min(axis=0)
+        need = min(search_k, first.size)
+        cut = np.partition(first, need - 1)[need - 1]
+        tied = np.flatnonzero(priority == priority[order[cut]])
+        if tied.size > 1:
+            origins = self.paths[on_path[:, tied].argmin(axis=0), tied]
+            if np.any(origins != origins[0]):
+                return None
+        return np.flatnonzero(first <= cut)
+
+
 class CentroidIndex:
     """Normalized document-centroid matrix plus an optional tree forest.
 
@@ -134,6 +254,7 @@ class CentroidIndex:
         self.seed = int(seed)
         self.mode = mode
         self._scratch = threading.local()
+        self._plan: _ForestPlan | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -171,6 +292,7 @@ class CentroidIndex:
             raise ValueError("seed must fit in 64 unsigned bits")
         self.forest = [_build_tree(self.unit_matrix, t, seed, leaf_cap)
                        for t in range(n_trees)]
+        self._plan = None
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
         return self
@@ -239,7 +361,6 @@ class CentroidIndex:
         cands = self._candidates(qv, search_k)
         if cands.size == 0:
             return []
-        cands.sort()  # ascending rows gather much faster from a large matrix
         scores = self.unit_matrix[cands] @ qv
         return self._rank(scores, cands, k)
 
@@ -252,6 +373,34 @@ class CentroidIndex:
         return buf
 
     def _candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
+        """Distinct candidate rows for ``qv`` in ascending order.
+
+        Both paths give the rows of the shortest run of leaves, in the
+        walk's pop order, that holds ``search_k`` distinct rows.  The
+        plan runs when ``n_trees * n_docs`` is at most :data:`_PLAN_RATIO`
+        times the budget, unless its ties need the walk.  Ascending rows
+        gather much faster from a large matrix.
+        """
+        if self.n_trees * self.n_docs <= _PLAN_RATIO * search_k:
+            rows = self._plan_candidates(qv, search_k)
+            if rows is not None:
+                return rows
+        rows = self._walk_candidates(qv, search_k)
+        rows.sort()
+        return rows
+
+    def _plan_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray | None:
+        """:meth:`_ForestPlan.candidates`, building the plan on first use.
+
+        Two threads that query first may each build a plan; either one
+        serves, and neither changes once built.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _ForestPlan.build(self.forest, self.n_docs)
+        return plan.candidates(qv, search_k)
+
+    def _walk_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
         """Best-first traversal of all trees through one shared queue.
 
         Queue priority is the smallest hyperplane margin crossed on the

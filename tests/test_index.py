@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import struct
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from centroid_ir import (CentroidIndex, DimensionMismatch, DuplicateId,
                          IndexFormatError, StateError, cosine, load_index,
                          save_index)
-from oracles import brute_candidates, brute_topk_cosine, route_point
+from centroid_ir.index import _PLAN_RATIO
+from oracles import brute_candidates, brute_topk_cosine, leaf_priorities, route_point
 
 
 def gaussian_index(rng, n, dim, prefix="d") -> tuple[CentroidIndex, np.ndarray]:
@@ -403,16 +405,81 @@ def duplicate_rows():
     return index, vectors
 
 
-class TestCandidatesMatchOracle:
-    """The traversal against the leaf-by-leaf reference in ``oracles``."""
+def single_leaf_trees():
+    # n_docs <= leaf_cap: every tree is its root leaf, and the leaves tie
+    # at +inf, one origin per tree, so the plan defers to the walk.
+    rng = np.random.default_rng(66)
+    index, vectors = gaussian_index(rng, 20, 4)
+    index.build_forest(n_trees=3, leaf_cap=32, seed=8)
+    assert all(tree.n_leaves == 1 for tree in index.forest)
+    return index, vectors
 
-    @pytest.fixture(params=[overlap_forest, single_row_leaves, duplicate_rows],
-                    ids=["many-trees", "leaf-cap-1", "duplicate-rows"])
-    def case(self, request):
-        index, vectors = request.param()
+
+def identical_rows():
+    # Every split pick lands on a duplicate, so every root is a forced leaf.
+    vectors = np.tile(np.array([[0.3, -1.2, 0.5]], dtype=np.float32), (50, 1))
+    index = CentroidIndex.from_matrix([f"d{i:02d}" for i in range(50)], vectors)
+    index.build_forest(n_trees=3, leaf_cap=4, seed=9)
+    assert all(tree.n_leaves == 1 for tree in index.forest)
+    return index, vectors
+
+
+def mixed_depths():
+    # One tree is a single leaf at depth 0, beside trees of deeper leaves:
+    # its leaf alone has priority +inf, and every other path is padded.
+    rng = np.random.default_rng(67)
+    index, vectors = gaussian_index(rng, 60, 5)
+    whole = index.build_forest(n_trees=1, leaf_cap=60, seed=10).forest
+    split = index.build_forest(n_trees=3, leaf_cap=3, seed=10).forest
+    return CentroidIndex(index.doc_ids, index.unit_matrix, forest=whole + split), vectors
+
+
+def integer_grids():
+    """Few distinct integer points in dims 1-6: different nodes, often in
+    different trees, split on the same pair, so margins tie exactly."""
+    cases = []
+    for dim in range(1, 7):
+        rng = np.random.default_rng(65 + dim)
+        grid = np.array([p for p in itertools.product((-1, 0, 1, 2), repeat=dim) if any(p)],
+                        dtype=np.float32)
+        distinct = grid[rng.choice(len(grid), size=min(len(grid), 6), replace=False)]
+        vectors = distinct[rng.integers(0, len(distinct), size=90)]
+        index = CentroidIndex.from_matrix([f"d{i:03d}" for i in range(90)], vectors)
+        index.build_forest(n_trees=6, leaf_cap=4, seed=dim)
+        cases.append((index, [rng.integers(-1, 3, size=dim).astype(float) for _ in range(6)]))
+    return cases
+
+
+def with_queries(build):
+    def cases():
+        index, vectors = build()
         rng = np.random.default_rng(64)
-        queries = [rng.normal(size=index.dim) for _ in range(3)] + [vectors[17]]
-        return index, queries
+        return [(index, [rng.normal(size=index.dim) for _ in range(3)] + [vectors[17]])]
+    return cases
+
+
+class TestCandidatesMatchOracle:
+    """Both candidate paths against the leaf-by-leaf reference in ``oracles``.
+
+    ``answers`` is what the plan does over a fixture's budgets: answer,
+    defer to the walk (None), or both.  Small random forests defer now
+    and then: two trees that split the same pair of rows give exactly
+    equal margins at two origins.
+    """
+
+    @pytest.fixture(params=[
+        (with_queries(overlap_forest), {"plan", "walk"}),
+        (with_queries(single_row_leaves), {"plan", "walk"}),
+        (with_queries(duplicate_rows), {"plan", "walk"}),
+        (with_queries(single_leaf_trees), {"walk"}),
+        (with_queries(identical_rows), {"walk"}),
+        (with_queries(mixed_depths), {"plan"}),
+        (integer_grids, {"plan", "walk"}),
+    ], ids=["many-trees", "leaf-cap-1", "duplicate-rows", "single-leaf-trees",
+            "identical-rows", "mixed-depths", "integer-grids"])
+    def case(self, request):
+        cases, answers = request.param
+        return cases(), answers
 
     def budgets(self, index, qv):
         """1..24, every total at which the reference stops on a leaf
@@ -421,20 +488,113 @@ class TestCandidatesMatchOracle:
         totals = np.cumsum([len(rows) for rows in brute_candidates(index.forest, qv, n)])
         return sorted(set(range(1, 25)) | set(totals.tolist()) | {n - 1, n, 2 * n})
 
+    def each_budget(self, cases):
+        """(index, query, unit query, budget, reference rows ascending)."""
+        for index, queries in cases:
+            for q in queries:
+                qv = index._unit_query(q)
+                if qv is None:
+                    continue
+                for search_k in self.budgets(index, qv):
+                    want = sorted(r for rows in brute_candidates(index.forest, qv, search_k)
+                                  for r in rows)
+                    yield index, q, qv, search_k, want
+
+    def test_walk(self, case):
+        cases, _ = case
+        for index, _, qv, search_k, want in self.each_budget(cases):
+            got = index._walk_candidates(qv, search_k).tolist()
+            assert len(got) == len(set(got))
+            assert sorted(got) == want, search_k
+            assert not index._seen_buffer().any()
+
+    def test_plan(self, case):
+        cases, answers = case
+        seen = set()
+        for index, _, qv, search_k, want in self.each_budget(cases):
+            got = index._plan_candidates(qv, search_k)
+            seen.add("walk" if got is None else "plan")
+            if got is not None:
+                assert got.tolist() == want, search_k
+        assert seen == answers
+
     def test_same_rows_and_ranking(self, case):
-        index, queries = case
+        cases, _ = case
+        for index, q, qv, search_k, want in self.each_budget(cases):
+            assert index._candidates(qv, search_k).tolist() == want, search_k
+            if search_k < index.n_docs:  # larger budgets rank every row exactly
+                for k in (1, 10):
+                    assert index.ann_topk(q, k, search_k=search_k) == ranked_from(
+                        index, q, want, k), (search_k, k)
+
+
+class TestForestPlan:
+    """When the whole-forest pass runs, and the life of its plan."""
+
+    def plan_index(self, seed=0):
+        rng = np.random.default_rng(70 + seed)
+        index, _ = gaussian_index(rng, 900, 12)
+        return index.build_forest(n_trees=8, leaf_cap=16, seed=seed), rng
+
+    @pytest.mark.parametrize("dim", [1, 7, 64, 100, 300])
+    def test_vecdot_gives_row_dot_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        normals = rng.normal(size=(2000, dim)).astype(np.float32)
+        qv = rng.normal(size=dim).astype(np.float32)
+        rows = np.array([normals[i].dot(qv) for i in range(2000)])
+        assert np.array_equal(np.vecdot(normals, qv), rows), (
+            "np.vecdot no longer gives each row the bits of normals[i].dot(qv): the "
+            "forest plan's candidates are exact only while it does")
+
+    def test_priorities_are_the_walks_bit_for_bit(self):
+        index, rng = self.plan_index()
+        index.ann_topk(rng.normal(size=12), 5, search_k=800)
+        for _ in range(10):
+            qv = index._unit_query(rng.normal(size=12))
+            got, _ = index._plan.priorities(qv)
+            for t, tree in enumerate(index.forest):
+                want = leaf_priorities(tree, qv)
+                for leaf in range(tree.n_leaves):
+                    rows = tree.leaf(leaf)
+                    assert (got[index._plan.leaf_of_row[t, rows]] == want[leaf]).all()
+
+    def test_budget_picks_the_path(self):
+        index, rng = self.plan_index()
+        plan_k = -(-index.n_trees * index.n_docs // _PLAN_RATIO)  # the smallest plan budget
+        index.ann_topk(rng.normal(size=12), 5, search_k=plan_k - 1)
+        assert index._plan is None
+        index.ann_topk(rng.normal(size=12), 5, search_k=plan_k)
+        assert index._plan is not None
+
+    def test_plan_is_read_only(self):
+        index, rng = self.plan_index()
+        index.ann_topk(rng.normal(size=12), 5, search_k=800)
+        plan = index._plan
+        assert not any(arr.flags.writeable for arr in (
+            plan.normals, plan.offsets, plan.paths, plan.leaf_of_row))
+
+    def test_build_forest_again_drops_the_plan(self):
+        index, rng = self.plan_index()
+        queries = [rng.normal(size=12) for _ in range(10)]
         for q in queries:
-            qv = index._unit_query(q)
-            for search_k in self.budgets(index, qv):
-                got = index._candidates(qv, search_k).tolist()
-                want = [r for rows in brute_candidates(index.forest, qv, search_k) for r in rows]
-                assert len(got) == len(set(got))
-                assert set(got) == set(want), search_k
-                assert not index._seen_buffer().any()
-                if search_k < index.n_docs:  # larger budgets rank every row exactly
-                    for k in (1, 10):
-                        assert index.ann_topk(q, k, search_k=search_k) == ranked_from(
-                            index, q, want, k), (search_k, k)
+            index.ann_topk(q, 10, search_k=400)
+        index.build_forest(n_trees=5, leaf_cap=8, seed=3)
+        fresh = CentroidIndex(index.doc_ids, index.unit_matrix).build_forest(
+            n_trees=5, leaf_cap=8, seed=3)
+        for q in queries:
+            assert index.ann_topk(q, 10, search_k=400) == fresh.ann_topk(q, 10, search_k=400)
+
+    def test_loaded_index_takes_the_plan(self, tmp_path):
+        index, rng = self.plan_index(seed=4)
+        save_index(index, tmp_path / "p.crvi")
+        loaded = load_index(tmp_path / "p.crvi")
+        for q in (rng.normal(size=12) for _ in range(10)):
+            qv = loaded._unit_query(q)
+            plan_rows = loaded._plan_candidates(qv, 500)
+            assert plan_rows is not None
+            assert plan_rows.tolist() == sorted(loaded._walk_candidates(qv, 500).tolist())
+            assert loaded.ann_topk(q, 15, search_k=500) == index.ann_topk(q, 15, search_k=500)
+        assert not loaded.forest[0].leaf_items.flags.writeable
 
 
 class TestPersistence:

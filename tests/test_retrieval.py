@@ -8,6 +8,7 @@ from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
                          EmbeddingStore, Question, RankedRun, StateError,
                          UnknownIds, build_corpus_index, centroid_simple,
                          embed_text, hybrid, rerank, retrieve, tokenize)
+from centroid_ir.index import _PLAN_RATIO
 from centroid_ir.rwmd import SCORERS
 from stores import make_store, random_store
 
@@ -98,9 +99,10 @@ class TestRetrieve:
         assert serial.per_question == threaded.per_question
 
     def test_ann_threads_match_serial(self):
-        # Each calling thread dedups candidates in its own mask and builds
-        # the trees' list views on first use; a fresh index makes the
-        # threads race for those views.
+        # Each calling thread dedups the walk's candidates in its own mask;
+        # the trees' list views and the forest plan are built on first
+        # use, and a fresh index makes the threads race for them.  A budget
+        # of 30 takes the walk (6 trees x 400 rows > 64 x 30), 200 the plan.
         rng = np.random.default_rng(81)
         store = random_store(rng, 60, 6)
         words = list(store.vocab)
@@ -120,13 +122,17 @@ class TestRetrieve:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = list(pool.map(lambda c: index.ann_topk(c, 10, search_k=60),
-                                         centroids))
+                threaded = list(pool.map(
+                    lambda c: [index.ann_topk(c, 10, search_k=b) for b in (200, 30)],
+                    centroids))
         finally:
             sys.setswitchinterval(interval)
+        assert index.n_trees * index.n_docs > _PLAN_RATIO * 30
+        assert index.n_trees * index.n_docs <= _PLAN_RATIO * 200
         serial_index = fresh_index()
-        assert threaded == [serial_index.ann_topk(c, 10, search_k=60) for c in centroids]
-        assert all(len(hits) == 10 for hits in threaded)
+        assert threaded == [[serial_index.ann_topk(c, 10, search_k=b) for b in (200, 30)]
+                            for c in centroids]
+        assert all(len(hits) == 10 for both in threaded for hits in both)
 
     @pytest.mark.parametrize("k, search_k", [(0, None), (-1, None), (5, 0), (5, -3)])
     def test_budgets_below_one_rejected(self, toy, k, search_k):

@@ -80,6 +80,20 @@ class TestRunFiles:
         assert run["q1"] == [("d7", 12.5)]
 
 
+# Ids that would break a run file's `qid Q0 doc_id rank score tag` line:
+# empty, holding whitespace (str.split's, which the run reader uses), or
+# a lone surrogate that UTF-8 cannot encode.
+BAD_RUN_IDS = [
+    ("", "'id' must be non-empty and hold no whitespace"),
+    ("doc one", "'id' must be non-empty and hold no whitespace"),
+    ("d\t1", "'id' must be non-empty and hold no whitespace"),
+    (" d1", "'id' must be non-empty and hold no whitespace"),
+    ("d1\u00a0", "'id' must be non-empty and hold no whitespace"),
+    ("d\u20281", "'id' must be non-empty and hold no whitespace"),
+    ("q\ud800", "'id' cannot be encoded as UTF-8"),
+]
+
+
 class TestCorpus:
     def write_corpus(self, tmp_path, rows):
         path = tmp_path / "corpus.jsonl"
@@ -141,6 +155,13 @@ class TestCorpus:
         with pytest.raises(ParseError, match="line 1: 'id' must be"):
             list(iter_corpus(path))
 
+    @pytest.mark.parametrize("value, message", BAD_RUN_IDS)
+    def test_id_a_run_file_cannot_hold_rejected(self, tmp_path, value, message):
+        path = self.write_corpus(tmp_path, [{"id": "d1", "title": "t"},
+                                            {"id": value, "title": "t"}])
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            list(iter_corpus(path))
+
 
 class TestQuestions:
     def write_questions(self, tmp_path, rows):
@@ -164,4 +185,11 @@ class TestQuestions:
     def test_non_string_id_rejected(self, tmp_path, value):
         path = self.write_questions(tmp_path, [{"id": value, "text": "a"}])
         with pytest.raises(ParseError, match="line 1: 'id' must be"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("value, message", BAD_RUN_IDS)
+    def test_id_a_run_file_cannot_hold_rejected(self, tmp_path, value, message):
+        path = self.write_questions(tmp_path, [{"id": "q1", "text": "a"},
+                                               {"id": value, "text": "a"}])
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
             load_questions(path)
