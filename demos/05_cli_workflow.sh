@@ -58,8 +58,7 @@ $CIR build-index \
 $CIR search \
     --index "$WORK/index.crvi" --embeddings "$WORK/vectors.txt" \
     --questions "$WORK/questions.jsonl" --k 3 \
-    --rerank rwmd_q --corpus "$WORK/corpus.jsonl" \
-    --out "$WORK/ours.run"
+    --rerank rwmd_q --out "$WORK/ours.run"
 echo "--- ours.run"; cat "$WORK/ours.run"
 
 # -- rerank the external baseline with the same distance -----------------------

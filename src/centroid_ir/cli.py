@@ -158,10 +158,13 @@ def _load_index_with_meta(ns):
 
 
 def cmd_search(ns) -> int:
-    if ns.rerank != "none" and not ns.corpus:
-        raise ConfigMismatch("--rerank needs --corpus for document texts")
+    if ns.corpus:
+        _log(f"ignoring --corpus {ns.corpus}: reranking reads document rows from the index")
     t0 = time.perf_counter()
     index, meta = _load_index_with_meta(ns)
+    if ns.rerank != "none" and index.rows is None:
+        raise ConfigMismatch(f"{ns.index} carries no document rows to rerank by; rebuild it "
+                             "with build-index, or rerank the run with the rerank command")
     mode = ns.mode or index.mode
     if mode is None:
         raise ConfigMismatch("index records no centroid mode; pass --mode")
@@ -175,7 +178,6 @@ def cmd_search(ns) -> int:
         store.set_idf(*emb.load_idf(idf_file))
     stopwords = _load_stopword_set(ns)
     questions = load_questions(ns.questions)
-    documents = load_corpus(ns.corpus) if ns.rerank != "none" else None
     t_load = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -184,9 +186,9 @@ def cmd_search(ns) -> int:
     t_search = time.perf_counter() - t0
 
     t_rerank = 0.0
-    if documents is not None:
+    if ns.rerank != "none":
         t0 = time.perf_counter()
-        run = rerank(run, questions, documents, store, method=ns.rerank,
+        run = rerank(run, questions, index, store, method=ns.rerank,
                      stopwords=stopwords, depth=ns.rerank_depth)
         t_rerank = time.perf_counter() - t0
 
@@ -280,7 +282,7 @@ def _build_parser():
     c.opt("--search-k", type=int, help="candidate budget (default 10*trees*k)")
     c.opt("--rerank", default="none", choices=["none", *sorted(SCORERS)])
     c.opt("--rerank-depth", type=int, help="rerank only the top so-many documents")
-    c.opt("--corpus", help="corpus file, needed when reranking")
+    c.opt("--corpus", help="ignored: reranking reads document rows from the index")
     c.opt("--idf-file", help="IDF file for centidf (default: recorded with index)")
     c.opt("--stopwords")
     commands["search"] = (c, cmd_search)

@@ -15,13 +15,18 @@ The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
 too; ``idf_rows`` is the float64 vector over vocabulary rows that the
 centroid arithmetic reads.  :meth:`EmbeddingStore.rows_many` maps tokens to
 rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus.
+:meth:`EmbeddingStore.fingerprint` identifies the vectors, and optionally
+the IDF scores, that an index was built from.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import struct
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, NoReturn
 
 import numpy as np
@@ -34,7 +39,8 @@ class EmbeddingStore:
     """Vocabulary -> dense vector lookups, with optional IDF scores.
 
     ``vocab`` maps each word to its matrix row, and the rows are
-    0..V-1, each once, so a row identifies its word.
+    0..V-1, each once, so a row identifies its word.  The vocabulary and
+    the matrix must not change once :meth:`fingerprint` has been called.
     """
 
     def __init__(
@@ -55,6 +61,7 @@ class EmbeddingStore:
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.idf: dict[str, float] | None = None
         self.idf_rows: np.ndarray | None = None
+        self._idf_digest: bytes | None = None
         self.n_docs = n_docs
         if idf is not None:
             self.set_idf(idf, n_docs or 0)
@@ -107,6 +114,32 @@ class EmbeddingStore:
         self.idf_rows = np.empty(n)
         self.idf_rows[np.fromiter(self.vocab.values(), np.intp, count=n)] = np.fromiter(
             map(self.idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
+        self._idf_digest = hashlib.sha256(np.ascontiguousarray(self.idf_rows, "<f8")).digest()
+
+    @cached_property
+    def _digest(self) -> bytes:
+        """SHA-256 of V, dim, the tokens in row order (their lengths, then
+        their text) and the float32 matrix."""
+        tokens = [""] * len(self.vocab)
+        for token, row in self.vocab.items():
+            tokens[row] = token
+        digest = hashlib.sha256(struct.pack("<QQ", len(tokens), self.dim))
+        digest.update(np.fromiter(map(len, tokens), "<i8", count=len(tokens)))
+        digest.update("".join(tokens).encode("utf-8", "surrogatepass"))
+        digest.update(np.ascontiguousarray(self.matrix, "<f4"))
+        return digest.digest()
+
+    def fingerprint(self, idf: bool) -> bytes:
+        """32 bytes that identify the vocabulary and matrix, and with ``idf``
+        also ``idf_rows``, or their absence.
+
+        The vocabulary-and-matrix part is hashed on first use and kept;
+        the IDF part is hashed when the scores are attached.
+        """
+        digest = hashlib.sha256(self._digest)
+        if idf:
+            digest.update(b"\x00" if self._idf_digest is None else b"\x01" + self._idf_digest)
+        return digest.digest()
 
     def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
         """Compute IDF scores over ``docs``, read once, and attach them."""

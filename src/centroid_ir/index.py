@@ -40,7 +40,8 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateId, IndexFormatError, StateError
 
 MAGIC = b"CRVI"
-VERSION = 2
+VERSION = 3
+_FINGERPRINT_BYTES = 32
 
 MODES = ("cent", "centidf")
 _MODE_CODES = (None, *MODES)
@@ -225,13 +226,21 @@ class CentroidIndex:
 
     ``mode`` records which centroid variant ("cent" or "centidf") the
     rows were built from, or None when unknown; the index file keeps it.
+
+    An index built from a corpus also carries its documents' vocabulary
+    rows: document i's are ``rows[bounds[i]:bounds[i + 1]]``, rows of a
+    vocabulary of ``vocab_size`` words, and ``fingerprint`` is the
+    :meth:`EmbeddingStore.fingerprint` of the store they index.  The four
+    come together or not at all.
+
     The constructor checks every invariant of an index, raising
     :class:`DuplicateId` for a repeated id and ``ValueError`` otherwise.
     """
 
     def __init__(self, doc_ids, unit_matrix: np.ndarray, forest: list[Tree] | None = None,
                  leaf_cap: int = DEFAULT_LEAF_CAP, seed: int = DEFAULT_SEED,
-                 mode: str | None = None):
+                 mode: str | None = None, rows=None, bounds=None,
+                 vocab_size: int | None = None, fingerprint: bytes | None = None):
         self.doc_ids = np.asarray(doc_ids, dtype=np.str_)
         self.unit_matrix = np.ascontiguousarray(unit_matrix, dtype=np.float32)
         if (self.doc_ids.ndim != 1 or self.unit_matrix.ndim != 2
@@ -253,20 +262,37 @@ class CentroidIndex:
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
         self.mode = mode
+        self.rows: np.ndarray | None = None
+        self.bounds: np.ndarray | None = None
+        self.vocab_size: int | None = None
+        self.fingerprint: bytes | None = None
+        parts = (rows, bounds, vocab_size, fingerprint)
+        if any(part is not None for part in parts):
+            if any(part is None for part in parts):
+                raise ValueError("document rows need their bounds, vocabulary size "
+                                 "and store fingerprint")
+            self.rows, self.bounds = _checked_rows(rows, bounds, n_docs, vocab_size)
+            self.vocab_size = int(vocab_size)
+            self.fingerprint = bytes(fingerprint)
+            if len(self.fingerprint) != _FINGERPRINT_BYTES:
+                raise ValueError(f"store fingerprint must be {_FINGERPRINT_BYTES} bytes")
         self._scratch = threading.local()
         self._plan: _ForestPlan | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, doc_ids, matrix: np.ndarray, mode: str | None = None) -> "CentroidIndex":
+    def from_matrix(cls, doc_ids, matrix: np.ndarray, mode: str | None = None,
+                    **doc_rows) -> "CentroidIndex":
         """Normalize centroid rows to unit length and index them.
 
         Zero centroids are kept as zero rows; they score 0 against every
         query.  Each row is divided in float32 by its float64 norm cast to
         float32; a row whose norm exceeds float32's range (one holding
         ``inf``, say) raises ``ValueError``.  The constructor rejects
-        everything else that is invalid, such as a NaN.
+        everything else that is invalid, such as a NaN.  ``doc_rows``
+        passes ``rows``, ``bounds``, ``vocab_size`` and ``fingerprint``
+        on to the constructor.
         """
         with np.errstate(over="ignore"):
             matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -277,7 +303,7 @@ class CentroidIndex:
             row = int(np.argmax(too_long))
             raise ValueError(f"centroid row {row} has a norm beyond float32's range")
         unit = matrix / safe[..., None]
-        return cls(doc_ids, unit, mode=mode)
+        return cls(doc_ids, unit, mode=mode, **doc_rows)
 
     def build_forest(self, n_trees: int = DEFAULT_TREES, leaf_cap: int = DEFAULT_LEAF_CAP,
                      seed: int = DEFAULT_SEED) -> "CentroidIndex":
@@ -489,7 +515,33 @@ class CentroidIndex:
             and np.array_equal(self.unit_matrix, other.unit_matrix)
             and len(self.forest) == len(other.forest)
             and all(a.equals(b) for a, b in zip(self.forest, other.forest))
+            and self.vocab_size == other.vocab_size
+            and self.fingerprint == other.fingerprint
+            and (self.rows is None) == (other.rows is None)
+            and (self.rows is None or (np.array_equal(self.rows, other.rows)
+                                       and np.array_equal(self.bounds, other.bounds)))
         )
+
+
+def _checked_rows(rows, bounds, n_docs: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as int32 and ``bounds`` as int64, or ``ValueError``.
+
+    Every row must lie in ``[0, vocab_size)``, and ``bounds`` must hold
+    ``n_docs + 1`` entries rising from 0 to the number of rows.
+    """
+    rows, bounds = np.asarray(rows), np.asarray(bounds)
+    if not 0 <= vocab_size < 2**31:
+        raise ValueError("vocabulary size must be in [0, 2^31)")
+    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+        raise ValueError("document rows must be a 1-D integer array")
+    if rows.size and (rows.min() < 0 or rows.max() >= vocab_size):
+        raise ValueError("document row out of the vocabulary's range")
+    if bounds.shape != (n_docs + 1,) or not np.issubdtype(bounds.dtype, np.integer):
+        raise ValueError(f"document-row bounds must be {n_docs + 1} integers")
+    if bounds[0] != 0 or bounds[-1] != rows.size or np.any(np.diff(bounds) < 0):
+        raise ValueError("document-row bounds do not rise from 0 to the row count")
+    return (np.ascontiguousarray(rows, dtype=np.int32),
+            np.ascontiguousarray(bounds, dtype=np.int64))
 
 
 def _mark_fresh(slices: list[np.ndarray], seen: np.ndarray) -> np.ndarray:
@@ -590,14 +642,18 @@ def _build_tree(X: np.ndarray, tree_id: int, seed: int, leaf_cap: int) -> Tree:
 
 # -- persistence -----------------------------------------------------------
 #
-# Little-endian throughout.  _HEADER: magic, version, dim, n_trees, n_docs,
-# leaf_cap, mode code, seed, CRC32 of the body.  The body is a run of
+# Little-endian throughout.  _HEADER: magic, version (3), dim, n_trees,
+# n_docs, leaf_cap, mode code, seed, CRC32 of the body, then a flag that
+# is 1 when the index carries document rows, the vocabulary size and the
+# number of document rows (both 0 without rows).  The body is a run of
 # arrays, each zero-padded to a multiple of 8 bytes: int64 doc-id offsets
 # (n_docs + 1), the UTF-8 id bytes, the float32 unit matrix, then per tree
 # int64 [root, n_internal, n_leaves] followed by normals, offsets,
-# children, leaf_bounds and leaf_items exactly as :class:`Tree` holds them.
+# children, leaf_bounds and leaf_items exactly as :class:`Tree` holds them;
+# with the flag set, it ends with the int32 document rows, their int64
+# bounds (n_docs + 1) and the 32-byte store fingerprint.
 
-_HEADER = struct.Struct("<4sIIIQIIQI4x")
+_HEADER = struct.Struct("<4sIIIQIIQIIQQ")
 
 
 def save_index(index: CentroidIndex, path) -> None:
@@ -614,6 +670,10 @@ def save_index(index: CentroidIndex, path) -> None:
             (tree.normals, "<f4"), (tree.offsets, "<f4"), (tree.children, "<i4"),
             (tree.leaf_bounds, "<i8"), (tree.leaf_items, "<i4"),
         ]
+    has_rows = index.rows is not None
+    if has_rows:
+        sections += [(index.rows, "<i4"), (index.bounds, "<i8"),
+                     (np.frombuffer(index.fingerprint, dtype=np.uint8), "u1")]
     chunks = []
     for values, dtype in sections:
         raw = np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
@@ -623,7 +683,9 @@ def save_index(index: CentroidIndex, path) -> None:
         crc = zlib.crc32(chunk, crc)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, index.dim, index.n_trees, index.n_docs,
-                              index.leaf_cap, _MODE_CODES.index(index.mode), index.seed, crc))
+                              index.leaf_cap, _MODE_CODES.index(index.mode), index.seed, crc,
+                              has_rows, index.vocab_size or 0,
+                              index.rows.size if has_rows else 0))
         for chunk in chunks:
             fh.write(chunk)
 
@@ -631,8 +693,8 @@ def save_index(index: CentroidIndex, path) -> None:
 def load_index(path) -> CentroidIndex:
     """Read and validate an index file written by :func:`save_index`.
 
-    The file is read once; the matrix and tree arrays are read-only views
-    of that buffer.  Any inconsistency raises :class:`IndexFormatError`.
+    The file is read once; the matrix, tree and row arrays are read-only
+    views of that buffer.  Any inconsistency raises :class:`IndexFormatError`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -640,16 +702,21 @@ def load_index(path) -> CentroidIndex:
     def bad(problem: str) -> IndexFormatError:
         return IndexFormatError(f"{path}: {problem}")
 
-    if len(data) < _HEADER.size:
+    if len(data) < 8:
         raise bad("truncated index file")
-    magic, version, dim, n_trees, n_docs, leaf_cap, mode_code, seed, crc = (
-        _HEADER.unpack_from(data))
+    magic, version = struct.unpack_from("<4sI", data)
     if magic != MAGIC:
         raise bad(f"bad magic {magic!r}")
     if version != VERSION:
         raise bad(f"unsupported version {version}")
+    if len(data) < _HEADER.size:
+        raise bad("truncated index file")
+    (_, _, dim, n_trees, n_docs, leaf_cap, mode_code, seed, crc,
+     has_rows, vocab_size, n_rows) = _HEADER.unpack_from(data)
     if mode_code >= len(_MODE_CODES):
         raise bad(f"unknown centroid mode code {mode_code}")
+    if has_rows not in (0, 1) or (not has_rows and (vocab_size or n_rows)):
+        raise bad("inconsistent document-row fields in the header")
     pos = _HEADER.size
 
     def take(dtype, count: int) -> np.ndarray:
@@ -680,6 +747,11 @@ def load_index(path) -> CentroidIndex:
             leaf_items=take("<i4", n_docs),
             root=root,
         ))
+    doc_rows = {}
+    if has_rows:
+        doc_rows = {"rows": take("<i4", n_rows), "bounds": take("<i8", n_docs + 1),
+                    "fingerprint": take("u1", _FINGERPRINT_BYTES).tobytes(),
+                    "vocab_size": vocab_size}
     if pos < len(data):
         raise bad(f"{len(data) - pos} trailing bytes after the last section")
     if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:
@@ -691,7 +763,7 @@ def load_index(path) -> CentroidIndex:
         raise bad("document id is not valid UTF-8") from None
     try:
         return CentroidIndex(doc_ids, matrix, forest=forest, leaf_cap=leaf_cap, seed=seed,
-                             mode=_MODE_CODES[mode_code])
+                             mode=_MODE_CODES[mode_code], **doc_rows)
     except (ValueError, DuplicateId) as exc:
         raise bad(str(exc)) from None
 

@@ -6,12 +6,17 @@ The building blocks compose into the named systems:
   covers plain centroid retrieval and its forest-approximated variant.
 * ``rerank`` reorders any run by a relaxed word-mover distance
   (rwmd_q / rwmd_d / rwmd_max), e.g. centidf + rwmd_q reranking, or an
-  imported external baseline run + rwmd_q.
+  imported external baseline run + rwmd_q.  Document words come from an
+  index built from the corpus, which keeps its documents' vocabulary
+  rows, or from the corpus records, tokenized again.
 * ``hybrid`` combines two runs: a question falls back to the second
   run's list exactly when the first run returned nothing for it.
 
-Questions are answered one after another on the calling thread; exact
-scoring's parallelism is the BLAS library's own.
+Each of ``retrieve`` and ``rerank`` maps all its questions to vocabulary
+rows in one call, then answers them one after another on the calling
+thread; exact scoring's parallelism is the BLAS library's own.  Both
+raise :class:`ConfigMismatch` when the embeddings or IDF scores differ
+from those an index was built with.
 """
 
 from __future__ import annotations
@@ -21,13 +26,17 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .centroids import centroid_idf, centroid_matrix, centroid_simple
+import numpy as np
+
+# centroid_idf, centroid_simple and embed_text are not called here, but
+# perfbench's tracer wraps them under these names, so they stay imported.
+from .centroids import centroid_idf, centroid_matrix, centroid_simple  # noqa: F401
 from .corpus import DocumentRecord, record_id
 from .embeddings import EmbeddingStore
-from .errors import ConfigMismatch, DuplicateId, ParseError, UnknownIds
+from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
 from .index import MODES, CentroidIndex
 from .runs import RankedRun
-from .rwmd import SCORERS, embed_text, rwmd_many
+from .rwmd import SCORERS, embed_rows, embed_text, rwmd_many  # noqa: F401
 from .text import default_stopwords, tokenize
 
 DEFAULT_K = 1000
@@ -66,12 +75,17 @@ def load_questions(path) -> list[Question]:
     return questions
 
 
-def _centroid_fn(mode: str):
-    if mode == "cent":
-        return centroid_simple
-    if mode == "centidf":
-        return centroid_idf
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _check_store(index: CentroidIndex, store: EmbeddingStore) -> None:
+    """Raise :class:`ConfigMismatch` unless ``store`` matches the index's fingerprint."""
+    if (index.fingerprint is not None
+            and store.fingerprint(idf=index.mode == "centidf") != index.fingerprint):
+        raise ConfigMismatch("the embeddings or IDF scores differ from those "
+                             "the index was built with")
 
 
 def retrieve(
@@ -85,14 +99,20 @@ def retrieve(
     stopwords: frozenset[str] | None = None,
     threads: int = 1,
 ) -> RankedRun:
-    """Tokenize each question, take its centroid, and fetch the top k.
+    """Tokenize the questions, take their centroids, and fetch each one's top k.
 
-    A question whose centroid is zero (all tokens out of vocabulary or
-    stop words) gets an empty list rather than an arbitrary ranking.
-    ``k`` and ``search_k`` must be at least 1.  Raises
-    :class:`ConfigMismatch` when the index records a centroid mode other
-    than the one requested.  ``threads`` is accepted for callers that
-    still pass it and must be at least 1; it has no effect.
+    All questions are mapped to vocabulary rows in one call, and each
+    centroid is taken from its slice as :func:`centroid_idf` or
+    :func:`centroid_simple` takes it, bit for bit.  A question whose
+    centroid is zero (all tokens out of vocabulary or stop words) gets an
+    empty list rather than an arbitrary ranking.  ``k`` and ``search_k``
+    must be at least 1.  Raises :class:`DuplicateId` for a repeated
+    question id, and :class:`ConfigMismatch` when the index records a
+    centroid mode other than the one requested or a store fingerprint
+    that ``store`` does not match; in mode "centidf", a store without IDF
+    scores raises :class:`StateError` before that.  ``threads`` is
+    accepted for callers that still pass it and must be at least 1; it
+    has no effect.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -102,31 +122,37 @@ def retrieve(
         raise ValueError(f"search_k must be at least 1, got {search_k}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    make_centroid = _centroid_fn(mode)
+    _check_mode(mode)
     if index.mode is not None and index.mode != mode:
         raise ConfigMismatch(
             f"index was built with {index.mode!r} centroids, queried with {mode!r}")
     if stopwords is None:
         stopwords = default_stopwords()
-
-    per_question: dict[str, list[tuple[str, float]]] = {}
+    questions = list(questions)
+    seen: set[str] = set()
     for question in questions:
-        if question.qid in per_question:
+        if question.qid in seen:
             raise DuplicateId(f"duplicate question id {question.qid!r} in batch")
-        cent = make_centroid(tokenize(question.text, stopwords), store)
-        if cent.is_zero:
+        seen.add(question.qid)
+
+    rows, bounds = store.rows_many(tokenize(question.text, stopwords) for question in questions)
+    centroids = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"), dtype=np.float64)
+    _check_store(index, store)
+    per_question: dict[str, list[tuple[str, float]]] = {}
+    for question, vec in zip(questions, centroids):
+        if np.linalg.norm(vec) == 0.0:
             per_question[question.qid] = []
         elif engine == "ann":
-            per_question[question.qid] = index.ann_topk(cent, k, search_k=search_k)
+            per_question[question.qid] = index.ann_topk(vec, k, search_k=search_k)
         else:
-            per_question[question.qid] = index.exact_topk(cent, k)
+            per_question[question.qid] = index.exact_topk(vec, k)
     return RankedRun(tag=f"{mode}-{engine}", per_question=per_question)
 
 
 def rerank(
     run: RankedRun,
     questions,
-    documents: Mapping[str, DocumentRecord],
+    documents: Mapping[str, DocumentRecord] | CentroidIndex,
     store: EmbeddingStore,
     method: str = "rwmd_q",
     stopwords: frozenset[str] | None = None,
@@ -144,10 +170,16 @@ def rerank(
     ``threads`` is accepted for callers that still pass it and must be at
     least 1; it has no effect.
 
-    Each distinct reranked document is tokenized once, up front, and all
-    of them are mapped to vocabulary rows in one call; each question then
-    takes one matrix product against its documents' vocabulary
-    (:func:`rwmd_many`).
+    ``documents`` is either an index that carries its documents'
+    vocabulary rows, as :func:`build_corpus_index` makes it, or a mapping
+    from document id to record.  An index's rows are read as stored, with
+    no text; it raises :class:`StateError` when it has no rows and
+    :class:`ConfigMismatch` when ``store`` does not match its
+    fingerprint.  From records, each distinct reranked document is
+    tokenized once, up front, and all of them are mapped to vocabulary
+    rows in one call.  Either way the same scoring follows: the questions
+    are mapped in one call, and each question takes one matrix product
+    against its documents' vocabulary (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -163,28 +195,44 @@ def rerank(
     missing_q = [qid for qid in active_qids if qid not in question_texts]
     if missing_q:
         raise UnknownIds("run references questions not provided to rerank", missing_q)
+    from_index = isinstance(documents, CentroidIndex)
+    if from_index:
+        if documents.rows is None:
+            raise StateError("index carries no document rows to rerank by")
+        _check_store(documents, store)
+        known = {doc_id: i for i, doc_id in enumerate(documents.doc_ids.tolist())}
+    else:
+        known = documents
     missing_d = {
         doc_id
         for qid in active_qids
         for doc_id, _ in run.per_question[qid]
-        if doc_id not in documents
+        if doc_id not in known
     }
     if missing_d:
-        raise UnknownIds("run references documents missing from the corpus", missing_d)
+        source = "index" if from_index else "corpus"
+        raise UnknownIds(f"run references documents missing from the {source}", missing_d)
 
     head_ids = list(dict.fromkeys(
         doc_id for qid in active_qids for doc_id, _ in run.per_question[qid][:depth]))
-    rows, bounds = store.rows_many(tokenize(documents[doc_id].text, stopwords)
-                                   for doc_id in head_ids)
-    doc_rows = {doc_id: rows[lo:hi]
-                for doc_id, (lo, hi) in zip(head_ids, itertools.pairwise(bounds.tolist()))}
+    if from_index:
+        at = np.array([known[doc_id] for doc_id in head_ids], dtype=np.intp)
+        rows = documents.rows
+        spans = zip(documents.bounds[at].tolist(), documents.bounds[at + 1].tolist())
+    else:
+        rows, bounds = store.rows_many(tokenize(documents[doc_id].text, stopwords)
+                                       for doc_id in head_ids)
+        spans = itertools.pairwise(bounds.tolist())
+    doc_rows = {doc_id: rows[lo:hi] for doc_id, (lo, hi) in zip(head_ids, spans)}
 
+    q_rows, q_bounds = store.rows_many(tokenize(question_texts[qid], stopwords)
+                                       for qid in active_qids)
     per_question: dict[str, list[tuple[str, float]]] = {qid: [] for qid in run.per_question}
-    for qid in active_qids:
+    for qid, (lo, hi) in zip(active_qids, itertools.pairwise(q_bounds.tolist())):
         entries = run.per_question[qid]
-        q_emb = embed_text(tokenize(question_texts[qid], stopwords), store)
         head = [doc_id for doc_id, _ in entries[:depth]]
-        dists = rwmd_many(q_emb, [doc_rows[doc_id] for doc_id in head], store, method)
+        dists = rwmd_many(embed_rows(q_rows[lo:hi], store),
+                          [doc_rows[doc_id] for doc_id in head], store, method)
         reranked = [(doc_id, dist) for dist, doc_id in sorted(zip(dists.tolist(), head))]
         per_question[qid] = reranked + list(entries[len(head):])
     suffix = method.replace("_", "")
@@ -225,9 +273,11 @@ def build_corpus_index(
 
     With ``compute_idf`` the store's IDF table is (re)computed from this
     corpus before the centroids are taken; otherwise the store must
-    already carry IDF scores when mode is "centidf".
+    already carry IDF scores when mode is "centidf".  The index keeps the
+    documents' vocabulary rows and the store's fingerprint, so that
+    :func:`rerank` needs no text and a different store is caught.
     """
-    _centroid_fn(mode)  # rejects an unknown mode before any work
+    _check_mode(mode)  # before any work
     if stopwords is None:
         stopwords = default_stopwords()
     records = list(documents)
@@ -237,4 +287,6 @@ def build_corpus_index(
     rows, bounds = store.rows_many(tokenized)
     del tokenized  # the token lists are not needed for the centroids
     matrix = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"))
-    return CentroidIndex.from_matrix([record.id for record in records], matrix, mode=mode)
+    return CentroidIndex.from_matrix(
+        [record.id for record in records], matrix, mode=mode, rows=rows, bounds=bounds,
+        vocab_size=len(store), fingerprint=store.fingerprint(idf=(mode == "centidf")))

@@ -65,7 +65,11 @@ class EmbeddedText:
 
 def embed_text(text: TokenizedText, store: EmbeddingStore) -> EmbeddedText:
     """The vocabulary rows of ``text`` and their float64 vectors."""
-    rows = store.rows(text)
+    return embed_rows(store.rows(text), store)
+
+
+def embed_rows(rows: np.ndarray, store: EmbeddingStore) -> EmbeddedText:
+    """Vocabulary rows of ``store`` with their float64 vectors."""
     return EmbeddedText(rows=rows, matrix=store.matrix[rows].astype(np.float64))
 
 

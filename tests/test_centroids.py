@@ -229,11 +229,18 @@ class TestBruteCentroidOracle:
         tokenized = [TokenizedText.from_tokens(tokens) for tokens in kept]
         matrix = centroid_matrix(*store.rows_many(tokenized), store, idf=mode == "centidf")
         assert matrix.tobytes() == per_text.astype(np.float32).tobytes()
+        exact = centroid_matrix(*store.rows_many(tokenized), store, idf=mode == "centidf",
+                                dtype=np.float64)
+        assert exact.tobytes() == per_text.tobytes()
         np.testing.assert_allclose(per_text, want, rtol=0, atol=1e-12)
 
         records = [DocumentRecord(f"d{i}", "", " ".join(tokens))
                    for i, tokens in enumerate(texts)]
         index = build_corpus_index(records, store, mode=mode, stopwords=stop)
+        rows, bounds = store.rows_many(tokenized)
+        assert index.rows.tolist() == rows.tolist() and index.bounds.tolist() == bounds.tolist()
+        assert (index.vocab_size, index.fingerprint) == (
+            len(store), store.fingerprint(idf=mode == "centidf"))
         ids = [r.id for r in records]
         expected = CentroidIndex.from_matrix(ids, per_text, mode=mode)
         assert index.unit_matrix.tobytes() == expected.unit_matrix.tobytes()

@@ -141,13 +141,26 @@ class TestSearch:
         assert self.search(workspace, "x.txt", "--rerank", "rwmd_q", "--rerank-depth", "0",
                            "--corpus", str(workspace / "corpus.jsonl")) == 3
 
-    def test_rerank_needs_corpus(self, workspace):
+    def test_rerank_reads_rows_from_index(self, workspace, capsys):
         build(workspace)
-        assert self.search(workspace, "x.txt", "--rerank", "rwmd_q") == 3
+        assert self.search(workspace, "rows.txt", "--rerank", "rwmd_q") == 0
+        # --corpus is still accepted, but not read: a missing file is fine.
+        assert self.search(workspace, "named.txt", "--rerank", "rwmd_q",
+                           "--corpus", str(workspace / "absent.jsonl")) == 0
+        assert "ignoring --corpus" in capsys.readouterr().err
+        rows = (workspace / "rows.txt").read_bytes()
+        assert rows == (workspace / "named.txt").read_bytes()
+        assert rows.split(b"\n")[0].split()[2] == b"d1"
 
-    def test_rerank_without_corpus_fails_before_loading(self, workspace):
-        # No index exists: the missing corpus is reported (3), not the index (2).
+    def test_rerank_needs_index_rows(self, workspace, capsys):
+        ids = ["d1", "d2", "d3"]
+        save_index(CentroidIndex.from_matrix(ids, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                                             mode="cent"), workspace / "index.crvi")
         assert self.search(workspace, "x.txt", "--rerank", "rwmd_q") == 3
+        err = capsys.readouterr().err
+        assert "build-index" in err and "rerank command" in err
+        assert not (workspace / "x.txt").exists()
+        assert self.search(workspace, "x.txt") == 0
 
     @pytest.mark.parametrize("flag", ["--k", "--search-k"])
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -179,6 +192,52 @@ class TestSearch:
                      "--questions", str(workspace / "questions.jsonl"),
                      "--out", str(workspace / "x.txt")])
         assert code == 2
+
+
+class TestStoreFingerprint:
+    """An index searched with other embeddings or IDF scores than it was
+    built with exits 3 instead of writing a plausible ranking."""
+
+    def search(self, ws, embeddings="vectors.txt", *extra):
+        return main(["search", "--index", str(ws / "index.crvi"),
+                     "--embeddings", str(ws / embeddings),
+                     "--questions", str(ws / "questions.jsonl"),
+                     "--out", str(ws / "run.txt"), "--k", "10", *extra])
+
+    def refused(self, ws, capsys, *args):
+        capsys.readouterr()
+        assert self.search(ws, *args) == 3
+        assert "differ from those the index was built with" in capsys.readouterr().err
+        assert not (ws / "run.txt").exists()
+
+    def test_permuted_vectors(self, workspace, capsys):
+        # The same tokens in the same order with apoptosis' and kinase's
+        # vectors swapped: without the check, q1 ranks d2 first.
+        (workspace / "b.txt").write_text(
+            "4 2\napoptosis 0.0 1.0\nkinase 1.0 0.0\np53 0.9 0.1\npathway 0.5 0.5\n")
+        build(workspace)
+        self.refused(workspace, capsys, "b.txt")
+        self.refused(workspace, capsys, "b.txt", "--engine", "exact", "--rerank", "rwmd_q")
+
+    def test_other_vocabulary_same_dimension(self, workspace, capsys):
+        text = (workspace / "vectors.txt").read_text()
+        (workspace / "b.txt").write_text(text.replace("kinase", "kinases"))
+        build(workspace)
+        self.refused(workspace, capsys, "b.txt")
+
+    def test_other_idf_file(self, workspace, capsys):
+        build(workspace)
+        lines = (workspace / "index.crvi.idf").read_text().splitlines()
+        other = workspace / "other.idf"
+        other.write_text("\n".join(line.split("\t")[0] + "\t2.5" if line.startswith("kinase")
+                                    else line for line in lines) + "\n")
+        self.refused(workspace, capsys, "vectors.txt", "--idf-file", str(other))
+        assert self.search(workspace, "vectors.txt",
+                           "--idf-file", str(workspace / "index.crvi.idf")) == 0
+
+    def test_cent_index_ignores_idf(self, workspace):
+        build(workspace, "index.crvi", "--mode", "cent")
+        assert self.search(workspace, "vectors.txt", "--rerank", "rwmd_q") == 0
 
 
 class TestRerankCommand:

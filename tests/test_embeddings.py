@@ -218,6 +218,53 @@ class TestStoreRows:
         assert bounds.tolist() == [0]
 
 
+class TestFingerprint:
+    def store(self, words=("a", "b", "c"), matrix=None, rows=(0, 1, 2)):
+        matrix = np.arange(6, dtype=np.float32).reshape(3, 2) if matrix is None else matrix
+        return EmbeddingStore(dict(zip(words, rows)), matrix)
+
+    def test_same_content_same_fingerprint(self):
+        a, b = self.store(), self.store()
+        assert len(a.fingerprint(idf=False)) == 32
+        assert a.fingerprint(idf=False) == b.fingerprint(idf=False)
+        assert a.fingerprint(idf=True) == b.fingerprint(idf=True)
+        # The dict's order is not the row order.
+        c = EmbeddingStore({"c": 2, "a": 0, "b": 1}, a.matrix)
+        assert c.fingerprint(idf=False) == a.fingerprint(idf=False)
+
+    @pytest.mark.parametrize("other", [
+        {"matrix": np.arange(6, dtype=np.float32).reshape(3, 2)[[1, 0, 2]]},
+        {"words": ("a", "b", "d")},
+        {"rows": (1, 0, 2)},
+        {"matrix": np.arange(6, dtype=np.float32).reshape(2, 3), "words": ("a", "b"),
+         "rows": (0, 1)},
+        {"matrix": np.arange(6, dtype=np.float32).reshape(6, 1),
+         "words": ("a", "b", "c", "d", "e", "f"), "rows": range(6)},
+        {"words": ("ab", "", "c")},
+    ])
+    def test_any_difference_changes_it(self, other):
+        base, changed = self.store(), self.store(**other)
+        assert changed.fingerprint(idf=False) != base.fingerprint(idf=False)
+
+    def test_idf_part(self):
+        store = self.store()
+        bare = store.fingerprint(idf=True)
+        store.set_idf({"a": 1.0, "b": 0.5}, 3)
+        with_idf = store.fingerprint(idf=True)
+        assert with_idf != bare
+        assert store.fingerprint(idf=False) == self.store().fingerprint(idf=False)
+        store.set_idf({"a": 1.0, "b": 0.5}, 4)  # changes the default for "c"
+        assert store.fingerprint(idf=True) != with_idf
+        store.set_idf({"a": 1.0, "b": 0.5, "c": math.log(3)}, 3)
+        assert store.fingerprint(idf=True) == with_idf
+
+    def test_vocabulary_and_matrix_hashed_once(self, monkeypatch):
+        store = self.store()
+        first = store.fingerprint(idf=False)
+        monkeypatch.setattr(store, "matrix", np.zeros((3, 2), dtype=np.float32))
+        assert store.fingerprint(idf=False) == first
+
+
 class TestComputeIdf:
     def docs(self, *token_lists):
         return [TokenizedText.from_tokens(list(tokens)) for tokens in token_lists]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -12,10 +13,17 @@ from centroid_ir.index import _PLAN_RATIO
 from oracles import brute_candidates, brute_topk_cosine, leaf_priorities, route_point
 
 
-def gaussian_index(rng, n, dim, prefix="d") -> tuple[CentroidIndex, np.ndarray]:
+def gaussian_index(rng, n, dim, prefix="d", **doc_rows) -> tuple[CentroidIndex, np.ndarray]:
     vectors = rng.normal(size=(n, dim)).astype(np.float32)
     ids = np.array([f"{prefix}{i:06d}" for i in range(n)])
-    return CentroidIndex.from_matrix(ids, vectors), vectors
+    return CentroidIndex.from_matrix(ids, vectors, **doc_rows), vectors
+
+
+def doc_rows(rng, n_docs, vocab_size=40) -> dict:
+    """Keyword arguments giving ``n_docs`` documents of 0-7 vocabulary rows."""
+    bounds = np.concatenate(([0], np.cumsum(rng.integers(0, 8, size=n_docs))))
+    return {"rows": rng.integers(0, vocab_size, size=bounds[-1]), "bounds": bounds,
+            "vocab_size": vocab_size, "fingerprint": rng.bytes(32)}
 
 
 class TestBuildExact:
@@ -144,6 +152,51 @@ class TestConstructor:
         tree.leaf_items[3] = tree.leaf_items[4]
         with pytest.raises(ValueError, match="tree 1: .*permutation"):
             CentroidIndex(index.doc_ids, index.unit_matrix, forest=index.forest)
+
+
+class TestDocumentRows:
+    def test_kept_as_given(self):
+        rng = np.random.default_rng(56)
+        parts = doc_rows(rng, 30)
+        index, _ = gaussian_index(rng, 30, 4, **parts)
+        assert index.rows.dtype == np.int32 and index.bounds.dtype == np.int64
+        assert np.array_equal(index.rows, parts["rows"])
+        assert np.array_equal(index.bounds, parts["bounds"])
+        assert (index.vocab_size, index.fingerprint) == (40, parts["fingerprint"])
+
+    def test_absent_by_default(self):
+        index = CentroidIndex.from_matrix(["a"], [[1.0, 0.0]])
+        assert index.rows is index.bounds is index.vocab_size is index.fingerprint is None
+
+    @pytest.mark.parametrize("missing", ["rows", "bounds", "vocab_size", "fingerprint"])
+    def test_all_or_nothing(self, missing):
+        parts = doc_rows(np.random.default_rng(57), 3)
+        del parts[missing]
+        with pytest.raises(ValueError, match="come together|need"):
+            CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), **parts)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p["rows"].__setitem__(0, p["vocab_size"]), "out of the vocabulary"),
+        (lambda p: p["rows"].__setitem__(0, -1), "out of the vocabulary"),
+        (lambda p: p.update(rows=p["rows"].astype(float)), "integer"),
+        (lambda p: p.update(bounds=p["bounds"][[0, 2, 1, 3]]), "rise from 0"),
+        (lambda p: p.update(bounds=p["bounds"] - np.array([0, 0, 0, 1])), "row count"),
+        (lambda p: p.update(bounds=p["bounds"][:-1]), "4 integers"),
+        (lambda p: p.update(fingerprint=p["fingerprint"][:31]), "32 bytes"),
+        (lambda p: p.update(vocab_size=2**31), "vocabulary size"),
+    ])
+    def test_constructor_rejects(self, damage, message):
+        parts = {"rows": np.array([3, 0, 9, 9, 1]), "bounds": np.array([0, 2, 4, 5]),
+                 "vocab_size": 10, "fingerprint": bytes(32)}
+        CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), **parts)
+        damage(parts)
+        with pytest.raises(ValueError, match=message):
+            CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), **parts)
+
+    def test_empty_documents(self):
+        index = CentroidIndex.from_matrix(["a", "b"], np.eye(2), rows=[], bounds=[0, 0, 0],
+                                          vocab_size=0, fingerprint=bytes(32))
+        assert index.rows.size == 0 and index.bounds.tolist() == [0, 0, 0]
 
 
 class TestExactTopk:
@@ -702,6 +755,50 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="mode"):
             load_index(path)
 
+    @pytest.mark.parametrize("with_forest", [False, True])
+    def test_rows_roundtrip(self, tmp_path, with_forest):
+        rng = np.random.default_rng(58)
+        index, _ = gaussian_index(rng, 200, 5, **doc_rows(rng, 200))
+        if with_forest:
+            index.build_forest(n_trees=3, leaf_cap=8, seed=5)
+        save_index(index, tmp_path / "x.crvi")
+        loaded = load_index(tmp_path / "x.crvi")
+        assert loaded.structural_eq(index)
+        assert np.array_equal(loaded.rows, index.rows)
+        assert np.array_equal(loaded.bounds, index.bounds)
+        assert loaded.fingerprint == index.fingerprint
+        assert loaded.vocab_size == index.vocab_size
+        assert not loaded.rows.flags.writeable
+
+    @pytest.mark.parametrize("field, change", [
+        ("rows", lambda a: np.where(np.arange(a.size) == 0, a + 1, a)),
+        ("bounds", lambda a: np.minimum(a + (np.arange(a.size) == 1), a[-1])),
+        ("fingerprint", lambda b: bytes(32)),
+        ("vocab_size", lambda v: v + 1),
+        ("rows", lambda a: None),
+    ])
+    def test_structural_eq_compares_rows(self, field, change):
+        rng = np.random.default_rng(59)
+        parts = doc_rows(rng, 20)
+        index, vectors = gaussian_index(rng, 20, 3, **parts)
+        other = CentroidIndex.from_matrix(index.doc_ids, vectors, **parts)
+        assert other.structural_eq(index)
+        setattr(other, field, change(getattr(other, field)))
+        assert not other.structural_eq(index)
+        assert not index.structural_eq(other)
+
+    def test_v2_file_rejected(self, tmp_path):
+        # The v3 body of an index without document rows is the v2 body;
+        # only the header differs.
+        index = CentroidIndex.from_matrix(["a", "b"], np.eye(2), mode="cent")
+        path = tmp_path / "x.crvi"
+        save_index(index, path)
+        body = path.read_bytes()[64:]
+        v2 = struct.pack("<4sIIIQIIQI4x", b"CRVI", 2, 2, 0, 2, 32, 1, 42, zlib.crc32(body))
+        path.write_bytes(v2 + body)
+        with pytest.raises(IndexFormatError, match="unsupported version 2"):
+            load_index(path)
+
     def test_v1_file_rejected(self, tmp_path):
         # One document "a" of dim 2 and no trees in the retired v1 layout:
         # header, length-prefixed id, float32 row.
@@ -722,7 +819,7 @@ class TestCorruptIndex:
 
     def saved(self, tmp_path, damage=None):
         rng = np.random.default_rng(54)
-        index, _ = gaussian_index(rng, 100, 6)
+        index, _ = gaussian_index(rng, 100, 6, **doc_rows(rng, 100))
         index.build_forest(n_trees=2, leaf_cap=8, seed=3)
         if damage is not None:
             damage(index)
@@ -731,7 +828,8 @@ class TestCorruptIndex:
         return path
 
     def test_intact_file_loads(self, tmp_path):
-        assert load_index(self.saved(tmp_path)).n_trees == 2
+        loaded = load_index(self.saved(tmp_path))
+        assert loaded.n_trees == 2 and loaded.rows is not None
 
     def test_leaf_item_all_ones(self, tmp_path):
         def damage(index):
@@ -815,3 +913,44 @@ class TestCorruptIndex:
             index.doc_ids[1] = index.doc_ids[0]
         with pytest.raises(IndexFormatError, match="repeated document id"):
             load_index(self.saved(tmp_path, damage))
+
+    def test_row_at_vocabulary_size(self, tmp_path):
+        def damage(index):
+            index.rows[3] = index.vocab_size
+        with pytest.raises(IndexFormatError, match="out of the vocabulary"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_negative_row(self, tmp_path):
+        def damage(index):
+            index.rows[3] = -1
+        with pytest.raises(IndexFormatError, match="out of the vocabulary"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_row_bounds_not_rising(self, tmp_path):
+        def damage(index):
+            bounds = index.bounds
+            i = int(np.flatnonzero(np.diff(bounds) > 0)[0])
+            bounds[i + 1] = bounds[i] - 1
+        with pytest.raises(IndexFormatError, match="rise from 0"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_last_row_bound_not_row_count(self, tmp_path):
+        def damage(index):
+            index.bounds[-1] -= 1
+        with pytest.raises(IndexFormatError, match="row count"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_row_bounds_of_wrong_length(self, tmp_path):
+        def damage(index):
+            index.bounds = index.bounds[:-1]
+        with pytest.raises(IndexFormatError, match="truncated"):
+            load_index(self.saved(tmp_path, damage))
+
+    def test_row_fields_without_rows(self, tmp_path):
+        path = tmp_path / "x.crvi"
+        save_index(CentroidIndex.from_matrix(["a"], [[1.0, 0.0]]), path)
+        blob = bytearray(path.read_bytes())
+        blob[48:56] = (5).to_bytes(8, "little")  # the header's vocabulary size
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="document-row fields"):
+            load_index(path)

@@ -4,10 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from centroid_ir import (ConfigMismatch, DocumentRecord, DuplicateId,
-                         EmbeddingStore, Question, RankedRun, StateError,
-                         UnknownIds, build_corpus_index, centroid_simple,
-                         embed_text, hybrid, rerank, retrieve, tokenize)
+from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
+                         DuplicateId, EmbeddingStore, Question, RankedRun,
+                         StateError, UnknownIds, build_corpus_index,
+                         centroid_idf, centroid_simple, embed_text, hybrid,
+                         rerank, retrieve, tokenize)
 from centroid_ir.index import _PLAN_RATIO
 from centroid_ir.rwmd import SCORERS
 from stores import make_store, random_store
@@ -70,6 +71,7 @@ class TestRetrieve:
         with pytest.raises(StateError):
             retrieve([Question("q1", "alpha")], index, bare, mode="centidf",
                      stopwords=STOP)
+        assert "_digest" not in vars(bare)  # raised before hashing the store
 
     def test_duplicate_qids_rejected(self, toy):
         store, docs, index = toy
@@ -344,6 +346,160 @@ class TestRerankMatchesPairwisePermutedRows(TestRerankMatchesPairwise):
     vocab dict's order."""
 
     permuted_rows = True
+
+
+def corpus_case(seed: int):
+    """A random store and corpus with the awkward documents and questions.
+
+    The corpus holds an empty document, an all-OOV one, an all-stop-word
+    one and one of repeated tokens; the questions hold an empty text, an
+    all-stop-word one, an all-OOV one and repeated tokens.
+    """
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, 40, 7)
+    idf = {w: float(v) for w, v in zip(store.vocab, rng.uniform(0, 3, 40))}
+    store.set_idf({**idf, "w3": 0.0}, 50)
+    words = list(store.vocab) + ["oov1", "oov2"]
+    docs = {f"d{i:03d}": DocumentRecord(f"d{i:03d}", "", " ".join(
+        rng.choice(words, size=rng.integers(1, 12)))) for i in range(120)}
+    docs["d005"] = DocumentRecord("d005", "", "")
+    docs["d006"] = DocumentRecord("d006", "oov1", "oov2 oov1")
+    docs["d007"] = DocumentRecord("d007", "the", "of and")
+    docs["d008"] = DocumentRecord("d008", "w4 w4", "w9 w4 w9")
+    questions = [Question(f"q{i:02d}", " ".join(rng.choice(words, size=rng.integers(1, 6))))
+                 for i in range(30)]
+    questions += [Question("empty", ""), Question("stop", "the of and"),
+                  Question("oov", "oov1 oov2"), Question("repeat", "w4 w9 w4 w4"),
+                  Question("zero-idf", "w3 w3")]
+    return store, docs, questions
+
+
+class TestRerankFromIndex:
+    """Reranking from index rows returns what reranking from records does."""
+
+    @pytest.fixture(params=["cent", "centidf"])
+    def case(self, request):
+        store, docs, questions = corpus_case(91)
+        index = build_corpus_index(docs.values(), store, mode=request.param, stopwords=STOP)
+        rng = np.random.default_rng(92)
+        ids = sorted(docs)
+        per_question = {}
+        for q in questions:
+            picks = list(rng.choice(ids, size=12, replace=False))
+            picks[3:3] = ["d005", "d006", "d007", "d008"]
+            per_question[q.qid] = [(d, float(rng.normal())) for d in picks]
+        per_question["q00"] = []  # a question with an empty list
+        per_question["lonely"] = []  # ... not even among the questions
+        return store, docs, questions, index, RankedRun(tag="r", per_question=per_question)
+
+    @pytest.mark.parametrize("depth", [None, 3, 9, 100])
+    @pytest.mark.parametrize("method", sorted(SCORERS))
+    def test_equals_records_path(self, case, method, depth):
+        store, docs, questions, index, run = case
+        from_index = rerank(run, questions, index, store, method=method, stopwords=STOP,
+                            depth=depth)
+        from_records = rerank(run, questions, docs, store, method=method, stopwords=STOP,
+                              depth=depth)
+        assert from_index.tag == from_records.tag
+        assert from_index.per_question == from_records.per_question
+        assert from_index["q00"] == from_index["lonely"] == []
+
+    def test_reads_no_text(self, case, monkeypatch):
+        store, docs, questions, index, run = case
+        want = rerank(run, questions, docs, store, stopwords=STOP)
+        texts = []
+        monkeypatch.setattr("centroid_ir.retrieval.tokenize",
+                            lambda text, stop: texts.append(text) or tokenize(text, stop))
+        assert rerank(run, questions, index, store, stopwords=STOP).per_question == \
+            want.per_question
+        assert sorted(texts) == sorted(q.text for q in questions if run[q.qid])
+
+    def test_unknown_doc_names_the_index(self, case):
+        store, docs, questions, index, _ = case
+        run = RankedRun(tag="x", per_question={"q01": [("ghost", 1.0), ("d001", 0.5)]})
+        with pytest.raises(UnknownIds, match="index: ghost"):
+            rerank(run, questions, index, store, stopwords=STOP)
+        with pytest.raises(UnknownIds, match="corpus: ghost"):
+            rerank(run, questions, docs, store, stopwords=STOP)
+
+    def test_index_without_rows(self, case):
+        store, docs, questions, index, run = case
+        bare = CentroidIndex.from_matrix(index.doc_ids, index.unit_matrix, mode=index.mode)
+        with pytest.raises(StateError, match="no document rows"):
+            rerank(run, questions, bare, store, stopwords=STOP)
+
+    def test_other_store_rejected(self, case):
+        store, docs, questions, index, run = case
+        other = EmbeddingStore(dict(store.vocab), store.matrix[::-1])
+        other.set_idf(store.idf, store.n_docs)
+        with pytest.raises(ConfigMismatch, match="differ"):
+            rerank(run, questions, index, other, stopwords=STOP)
+
+
+def per_question_loop(questions, index, store, mode, engine, k, search_k=None):
+    """The one-question-at-a-time retrieval that batched ``retrieve`` replaced."""
+    make = centroid_idf if mode == "centidf" else centroid_simple
+    out = {}
+    for q in questions:
+        cent = make(tokenize(q.text, STOP), store)
+        if cent.is_zero:
+            out[q.qid] = []
+        elif engine == "ann":
+            out[q.qid] = index.ann_topk(cent, k, search_k=search_k)
+        else:
+            out[q.qid] = index.exact_topk(cent, k)
+    return out
+
+
+class TestBatchedRetrieve:
+    @pytest.mark.parametrize("seed", [93, 94])
+    @pytest.mark.parametrize("mode", ["cent", "centidf"])
+    @pytest.mark.parametrize("engine, search_k", [("exact", None), ("ann", None),
+                                                  ("ann", 40), ("ann", 7)])
+    def test_equals_per_question_loop(self, seed, mode, engine, search_k):
+        store, docs, questions = corpus_case(seed)
+        index = build_corpus_index(docs.values(), store, mode=mode, stopwords=STOP)
+        index.build_forest(n_trees=5, leaf_cap=6, seed=seed)
+        run = retrieve(questions, index, store, mode=mode, engine=engine, k=10,
+                       search_k=search_k, stopwords=STOP)
+        want = per_question_loop(questions, index, store, mode, engine, 10, search_k)
+        assert run.per_question == want
+        assert list(run.per_question) == [q.qid for q in questions]
+        for qid in ("empty", "stop", "oov"):
+            assert run[qid] == []
+        assert (run["zero-idf"] == []) == (mode == "centidf")
+
+    def test_repeated_qid_anywhere(self):
+        store, docs, questions = corpus_case(95)
+        index = build_corpus_index(docs.values(), store, mode="cent", stopwords=STOP)
+        with pytest.raises(DuplicateId, match="q03"):
+            retrieve(questions + [Question("q03", "w1")], index, store, mode="cent",
+                     stopwords=STOP)
+
+    def test_no_questions(self):
+        store, docs, _ = corpus_case(96)
+        index = build_corpus_index(docs.values(), store, mode="centidf", stopwords=STOP)
+        assert retrieve([], index, store, mode="centidf").per_question == {}
+
+    @pytest.mark.parametrize("mode", ["cent", "centidf"])
+    def test_other_store_rejected(self, mode):
+        store, docs, questions = corpus_case(97)
+        index = build_corpus_index(docs.values(), store, mode=mode, stopwords=STOP)
+        swapped = store.matrix.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        other = EmbeddingStore(dict(store.vocab), swapped)
+        other.set_idf(store.idf, store.n_docs)
+        with pytest.raises(ConfigMismatch, match="differ"):
+            retrieve(questions, index, other, mode=mode, stopwords=STOP)
+
+    def test_other_idf_rejected_only_for_centidf(self):
+        store, docs, questions = corpus_case(98)
+        indexes = {mode: build_corpus_index(docs.values(), store, mode=mode, stopwords=STOP)
+                   for mode in ("cent", "centidf")}
+        store.set_idf({**store.idf, "w1": 9.0}, store.n_docs)
+        retrieve(questions, indexes["cent"], store, mode="cent", stopwords=STOP)
+        with pytest.raises(ConfigMismatch, match="differ"):
+            retrieve(questions, indexes["centidf"], store, mode="centidf", stopwords=STOP)
 
 
 class TestHybrid:
