@@ -14,6 +14,7 @@ approximate path searches a forest of random-hyperplane partition trees:
   until the ``search_k`` budget is met, then scores the candidates by
   exact cosine.  Approximation therefore affects which documents are
   considered, never the score a returned document gets.
+* Leaves of equal priority are taken by depth, then tree, then leaf id.
 * Two paths collect the same candidates.  When ``n_trees * n_docs`` is
   small next to ``search_k`` (:data:`_PLAN_RATIO`), a
   :class:`_ForestPlan` ranks every leaf of the forest in one vectorized
@@ -119,7 +120,8 @@ class _ForestPlan:
     ``2 * i`` leads to node ``i``'s left child and carries ``-margin``,
     edge ``2 * i + 1`` to its right child and carries ``+margin``; edge
     ``2 * n_internal + t`` is tree ``t``'s root and carries ``+inf``.
-    Leaves are numbered by depth, then tree, then leaf id.  A leaf's path
+    Leaves are numbered by depth, then tree, then leaf id, the order in
+    which the heap walk pops leaves of equal priority.  A leaf's path
     lists the edges from its root down, padded with its root edge, so its
     priority is the minimum its edges carry: the priority the heap walk
     gives it.  The arrays are read-only.
@@ -181,8 +183,8 @@ class _ForestPlan:
             arr.flags.writeable = False
         return plan
 
-    def priorities(self, qv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each leaf's priority for ``qv``, and what its path's edges carry."""
+    def priorities(self, qv: np.ndarray) -> np.ndarray:
+        """Each leaf's priority for ``qv``."""
         # vecdot gives each row the bits of ``normals[i].dot(qv)``, which
         # the walk computes; ``@`` and einsum do not.  The offsets are
         # subtracted in float64, as the walk does.
@@ -191,33 +193,22 @@ class _ForestPlan:
         carried = np.full(2 * n_internal + self.leaf_of_row.shape[0], np.inf)
         carried[0:2 * n_internal:2] = -margin
         carried[1:2 * n_internal:2] = margin
-        on_path = np.take(carried, self.paths)
-        return on_path.min(axis=0), on_path
+        return np.take(carried, self.paths).min(axis=0)
 
-    def candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray | None:
-        """The heap walk's candidate rows for ``qv``, ascending, or None.
+    def candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
+        """The heap walk's candidate rows for ``qv``, ascending.
 
         Leaves are ranked by descending priority, equal priorities by
-        leaf number, and the rows of the shortest prefix of that ranking
-        that holds ``search_k`` distinct rows come back.  Among the leaves
-        whose priority is first reached at one edge, all in one tree, the
-        walk pops equal priorities breadth-first: by depth, then leaf id,
-        which is the numbering's order.  When the leaves tied at the cut
-        first reach their priority at more than one edge, the walk's order
-        may differ, and None asks for the walk instead.
+        leaf number, the walk's pop order, and the rows of the shortest
+        prefix of that ranking that holds ``search_k`` distinct rows come
+        back.
         """
-        priority, on_path = self.priorities(qv)
-        order = np.argsort(-priority, kind="stable")
+        order = np.argsort(-self.priorities(qv), kind="stable")
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)
         first = np.take(rank, self.leaf_of_row).min(axis=0)
         need = min(search_k, first.size)
         cut = np.partition(first, need - 1)[need - 1]
-        tied = np.flatnonzero(priority == priority[order[cut]])
-        if tied.size > 1:
-            origins = self.paths[on_path[:, tied].argmin(axis=0), tied]
-            if np.any(origins != origins[0]):
-                return None
         return np.flatnonzero(first <= cut)
 
 
@@ -259,6 +250,7 @@ class CentroidIndex:
         for t, tree in enumerate(self.forest):
             if problem := _tree_problem(tree, n_docs, self.unit_matrix.shape[1]):
                 raise ValueError(f"tree {t}: {problem}")
+        _check_leaf_cap_and_seed(leaf_cap, seed)
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
         self.mode = mode
@@ -312,10 +304,7 @@ class CentroidIndex:
             raise StateError("cannot build a forest over an empty index")
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
-        if leaf_cap < 1:
-            raise ValueError("leaf_cap must be positive")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_leaf_cap_and_seed(leaf_cap, seed)
         self.forest = [_build_tree(self.unit_matrix, t, seed, leaf_cap)
                        for t in range(n_trees)]
         self._plan = None
@@ -338,15 +327,24 @@ class CentroidIndex:
         return len(self.forest)
 
     def _unit_query(self, q) -> np.ndarray | None:
-        """Normalize a query (Centroid or vector); None for a zero query."""
+        """Normalize a query (Centroid or vector); None for a zero query.
+
+        A vector whose norm overflows or underflows float64 is first
+        divided by its largest magnitude.
+        """
         vec = np.asarray(getattr(q, "vec", q), dtype=np.float64)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"query of shape {vec.shape} against dim {self.dim}")
         if not np.isfinite(vec).all():
             raise ValueError("query vector has non-finite components")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            return None
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(vec))
+            if norm == 0.0 or norm == np.inf:
+                scale = np.abs(vec).max()
+                if scale == 0.0:
+                    return None
+                vec = vec / scale
+                norm = float(np.linalg.norm(vec))
         return (vec / norm).astype(np.float32)
 
     def exact_topk(self, q, k: int) -> list[tuple[str, float]]:
@@ -404,18 +402,16 @@ class CentroidIndex:
         Both paths give the rows of the shortest run of leaves, in the
         walk's pop order, that holds ``search_k`` distinct rows.  The
         plan runs when ``n_trees * n_docs`` is at most :data:`_PLAN_RATIO`
-        times the budget, unless its ties need the walk.  Ascending rows
-        gather much faster from a large matrix.
+        times the budget.  Ascending rows gather much faster from a large
+        matrix.
         """
         if self.n_trees * self.n_docs <= _PLAN_RATIO * search_k:
-            rows = self._plan_candidates(qv, search_k)
-            if rows is not None:
-                return rows
+            return self._plan_candidates(qv, search_k)
         rows = self._walk_candidates(qv, search_k)
         rows.sort()
         return rows
 
-    def _plan_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray | None:
+    def _plan_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
         """:meth:`_ForestPlan.candidates`, building the plan on first use.
 
         Two threads that query first may each build a plan; either one
@@ -434,6 +430,11 @@ class CentroidIndex:
         the query sits to their region.  Collects distinct row indices
         until the budget is met or the queue empties.
 
+        Equal priorities pop by depth, then tree, then ``-ref``, which
+        rises with leaf id.  A child's entry is always larger than its
+        parent's (priority no higher, depth one more), so nodes pop in
+        ascending entry order, whatever was pushed when.
+
         Leaves are deduplicated per budget step, not one by one: popped
         leaves' item slices wait until their raw size covers what is left
         of the budget (or the queue empties), then one :func:`_mark_fresh`
@@ -447,10 +448,9 @@ class CentroidIndex:
         items_of = [tree.leaf_items for tree in forest]
         offsets, children, bounds = zip(*(tree.lists for tree in forest))
         heap: list[tuple[float, int, int, int]] = [
-            (-np.inf, ti, ti, tree.root) for ti, tree in enumerate(forest)
+            (-np.inf, 0, ti, -tree.root) for ti, tree in enumerate(forest)
         ]
         heapq.heapify(heap)
-        counter = len(heap)
         pop, push = heapq.heappop, heapq.heappush
         seen = self._seen_buffer()
         chunks: list[np.ndarray] = []
@@ -459,9 +459,9 @@ class CentroidIndex:
         needed = search_k
         try:
             while heap and needed > 0:
-                neg_pri, _, ti, ref = pop(heap)
-                if ref < 0:
-                    leaf = -ref - 1
+                neg_pri, depth, ti, key = pop(heap)
+                if key > 0:
+                    leaf = key - 1
                     lo, hi = bounds[ti][leaf], bounds[ti][leaf + 1]
                     pending.append(items_of[ti][lo:hi])
                     pending_size += hi - lo
@@ -472,14 +472,14 @@ class CentroidIndex:
                         pending.clear()
                         pending_size = 0
                 else:
-                    pri = -neg_pri
+                    ref, pri = -key, -neg_pri
                     # ndarray.dot runs the same float32 dot kernel as ``@``
                     # at about half the call overhead.
                     margin = float(normals[ti][ref].dot(qv)) - offsets[ti][ref]
                     left, right = children[ti][ref]
-                    push(heap, (-min(pri, -margin), counter, ti, left))
-                    push(heap, (-min(pri, margin), counter + 1, ti, right))
-                    counter += 2
+                    depth += 1
+                    push(heap, (-min(pri, -margin), depth, ti, -left))
+                    push(heap, (-min(pri, margin), depth, ti, -right))
         finally:
             for chunk in chunks:
                 seen[chunk] = False
@@ -521,6 +521,14 @@ class CentroidIndex:
             and (self.rows is None or (np.array_equal(self.rows, other.rows)
                                        and np.array_equal(self.bounds, other.bounds)))
         )
+
+
+def _check_leaf_cap_and_seed(leaf_cap: int, seed: int) -> None:
+    """``ValueError`` unless both fit their fields in the index file."""
+    if not 1 <= leaf_cap < 2**32:
+        raise ValueError("leaf_cap must be in [1, 2^32)")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2^64)")
 
 
 def _checked_rows(rows, bounds, n_docs: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -112,21 +112,21 @@ def leaf_priorities(tree, qv):
 def brute_candidates(forest, qv, search_k):
     """The forest's best-first traversal, deduplicating leaf by leaf.
 
-    One heap over all trees holds (-priority, counter, tree, ref); a
+    One heap over all trees holds (-priority, depth, tree, -ref); a
     node's priority is the smallest hyperplane margin crossed to reach
-    it, +inf at the roots.  Each popped leaf adds the rows no earlier
-    leaf added, and the walk stops once ``search_k`` distinct rows are
-    in or the heap is empty.  Returns one list per popped leaf: the rows
-    it added, in pop order.
+    it, +inf at the roots, and ``-ref`` rises with leaf id, so equal
+    priorities pop by depth, then tree, then leaf id.  Each popped leaf
+    adds the rows no earlier leaf added, and the walk stops once
+    ``search_k`` distinct rows are in or the heap is empty.  Returns one
+    list per popped leaf: the rows it added, in pop order.
     """
-    heap = [(-math.inf, ti, ti, tree.root) for ti, tree in enumerate(forest)]
+    heap = [(-math.inf, 0, ti, -tree.root) for ti, tree in enumerate(forest)]
     heapq.heapify(heap)
-    counter = len(heap)
     seen = set()
     added = []
     while heap and len(seen) < search_k:
-        neg_pri, _, ti, ref = heapq.heappop(heap)
-        tree = forest[ti]
+        neg_pri, depth, ti, key = heapq.heappop(heap)
+        tree, ref = forest[ti], -key
         if ref < 0:
             leaf = -ref - 1
             lo, hi = int(tree.leaf_bounds[leaf]), int(tree.leaf_bounds[leaf + 1])
@@ -140,9 +140,8 @@ def brute_candidates(forest, qv, search_k):
             pri = -neg_pri
             margin = float(tree.normals[ref] @ qv) - float(tree.offsets[ref])
             left, right = (int(c) for c in tree.children[ref])
-            heapq.heappush(heap, (-min(pri, -margin), counter, ti, left))
-            heapq.heappush(heap, (-min(pri, margin), counter + 1, ti, right))
-            counter += 2
+            heapq.heappush(heap, (-min(pri, -margin), depth + 1, ti, -left))
+            heapq.heappush(heap, (-min(pri, margin), depth + 1, ti, -right))
     return added
 
 

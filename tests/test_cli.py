@@ -77,6 +77,16 @@ class TestBuildIndex:
                           json.dumps({"id": "d1", "title": "x", "abstract": "y"}) + "\n")
         assert build(workspace) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--leaf-cap", str(2**32)), ("--seed", str(2**64))])
+    def test_out_of_range_leaf_cap_or_seed_exit_3(self, workspace, flag, value):
+        code = main(["build-index",
+                     "--embeddings", str(workspace / "vectors.txt"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "x.crvi"), "--compute-idf", flag, value])
+        assert code == 3
+        assert not (workspace / "x.crvi").exists()
+
     def test_centidf_without_idf_source_exit_3(self, workspace):
         code = main(["build-index",
                      "--embeddings", str(workspace / "vectors.txt"),

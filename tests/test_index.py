@@ -94,6 +94,12 @@ class TestConstructor:
         with pytest.raises(ValueError, match="mode"):
             CentroidIndex(["a", "b"], np.eye(2), mode="bogus")
 
+    @pytest.mark.parametrize("field, value", [
+        ("leaf_cap", 0), ("leaf_cap", 2**32), ("seed", -1), ("seed", 2**64)])
+    def test_leaf_cap_and_seed_fit_the_file(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CentroidIndex(["a", "b"], np.eye(2), **{field: value})
+
     def test_rows_must_match_ids(self):
         with pytest.raises(ValueError, match="rows"):
             CentroidIndex(["a", "b", "c"], np.eye(2))
@@ -238,6 +244,27 @@ class TestExactTopk:
         with pytest.raises(ValueError):
             index.ann_topk(np.array([np.inf, 1.0, 0.0]), 5)
 
+    @pytest.mark.parametrize("engine", ["exact", "ann"])
+    @pytest.mark.parametrize("q, scaled", [
+        ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1e-200, 1e-200, 0.0], [1.0, 1.0, 0.0]),
+        ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([-1e308, 1e308, 1e308], [-1.0, 1.0, 1.0]),
+    ], ids=["overflow", "underflow", "subnormal", "largest"])
+    def test_query_norm_beyond_float64(self, engine, q, scaled):
+        # A finite query ranks as its direction does, whatever its norm.
+        rng = np.random.default_rng(38)
+        index, _ = gaussian_index(rng, 60, 3)
+        index.build_forest(n_trees=3, leaf_cap=4, seed=1)
+        if engine == "exact":
+            topk = index.exact_topk
+        else:
+            def topk(query, k):
+                return index.ann_topk(query, k, search_k=20)
+        hits = topk(q, 5)
+        assert hits == topk(scaled, 5)
+        assert len(hits) == 5 and hits[0][1] > 0.5
+
     def test_scores_are_cosines(self):
         rng = np.random.default_rng(32)
         index, vectors = gaussian_index(rng, 200, 10)
@@ -259,6 +286,14 @@ class TestExactTopk:
 
 
 class TestBuildForest:
+    @pytest.mark.parametrize("field, value", [
+        ("leaf_cap", 0), ("leaf_cap", 2**32), ("seed", -1), ("seed", 2**64)])
+    def test_leaf_cap_and_seed_checked_before_building(self, field, value):
+        index = CentroidIndex.from_matrix(["a", "b"], np.eye(2))
+        with pytest.raises(ValueError, match=field):
+            index.build_forest(n_trees=2, **{field: value})
+        assert index.n_trees == 0
+
     def test_single_point_single_leaf(self):
         index = CentroidIndex.from_matrix(["only"], [[1.0, 0.0]])
         index.build_forest(n_trees=3, leaf_cap=4, seed=1)
@@ -460,7 +495,7 @@ def duplicate_rows():
 
 def single_leaf_trees():
     # n_docs <= leaf_cap: every tree is its root leaf, and the leaves tie
-    # at +inf, one origin per tree, so the plan defers to the walk.
+    # at +inf, one origin per tree, so tree order alone ranks them.
     rng = np.random.default_rng(66)
     index, vectors = gaussian_index(rng, 20, 4)
     index.build_forest(n_trees=3, leaf_cap=32, seed=8)
@@ -503,6 +538,16 @@ def integer_grids():
     return cases
 
 
+def twin_trees():
+    # The forest holds one tree twice, so every hyperplane ties exactly
+    # with its twin's, at another origin.
+    rng = np.random.default_rng(68)
+    index, vectors = gaussian_index(rng, 120, 5)
+    first, second = index.build_forest(n_trees=2, leaf_cap=6, seed=11).forest
+    forest = [first, second, first]
+    return CentroidIndex(index.doc_ids, index.unit_matrix, forest=forest), vectors
+
+
 def with_queries(build):
     def cases():
         index, vectors = build()
@@ -514,25 +559,23 @@ def with_queries(build):
 class TestCandidatesMatchOracle:
     """Both candidate paths against the leaf-by-leaf reference in ``oracles``.
 
-    ``answers`` is what the plan does over a fixture's budgets: answer,
-    defer to the walk (None), or both.  Small random forests defer now
-    and then: two trees that split the same pair of rows give exactly
-    equal margins at two origins.
+    Several fixtures tie leaves exactly, within a tree and across trees:
+    all three must take equal priorities by depth, then tree, then leaf id.
     """
 
     @pytest.fixture(params=[
-        (with_queries(overlap_forest), {"plan", "walk"}),
-        (with_queries(single_row_leaves), {"plan", "walk"}),
-        (with_queries(duplicate_rows), {"plan", "walk"}),
-        (with_queries(single_leaf_trees), {"walk"}),
-        (with_queries(identical_rows), {"walk"}),
-        (with_queries(mixed_depths), {"plan"}),
-        (integer_grids, {"plan", "walk"}),
+        with_queries(overlap_forest),
+        with_queries(single_row_leaves),
+        with_queries(duplicate_rows),
+        with_queries(single_leaf_trees),
+        with_queries(identical_rows),
+        with_queries(mixed_depths),
+        with_queries(twin_trees),
+        integer_grids,
     ], ids=["many-trees", "leaf-cap-1", "duplicate-rows", "single-leaf-trees",
-            "identical-rows", "mixed-depths", "integer-grids"])
+            "identical-rows", "mixed-depths", "twin-trees", "integer-grids"])
     def case(self, request):
-        cases, answers = request.param
-        return cases(), answers
+        return request.param()
 
     def budgets(self, index, qv):
         """1..24, every total at which the reference stops on a leaf
@@ -554,26 +597,18 @@ class TestCandidatesMatchOracle:
                     yield index, q, qv, search_k, want
 
     def test_walk(self, case):
-        cases, _ = case
-        for index, _, qv, search_k, want in self.each_budget(cases):
+        for index, _, qv, search_k, want in self.each_budget(case):
             got = index._walk_candidates(qv, search_k).tolist()
             assert len(got) == len(set(got))
             assert sorted(got) == want, search_k
             assert not index._seen_buffer().any()
 
     def test_plan(self, case):
-        cases, answers = case
-        seen = set()
-        for index, _, qv, search_k, want in self.each_budget(cases):
-            got = index._plan_candidates(qv, search_k)
-            seen.add("walk" if got is None else "plan")
-            if got is not None:
-                assert got.tolist() == want, search_k
-        assert seen == answers
+        for index, _, qv, search_k, want in self.each_budget(case):
+            assert index._plan_candidates(qv, search_k).tolist() == want, search_k
 
     def test_same_rows_and_ranking(self, case):
-        cases, _ = case
-        for index, q, qv, search_k, want in self.each_budget(cases):
+        for index, q, qv, search_k, want in self.each_budget(case):
             assert index._candidates(qv, search_k).tolist() == want, search_k
             if search_k < index.n_docs:  # larger budgets rank every row exactly
                 for k in (1, 10):
@@ -604,7 +639,7 @@ class TestForestPlan:
         index.ann_topk(rng.normal(size=12), 5, search_k=800)
         for _ in range(10):
             qv = index._unit_query(rng.normal(size=12))
-            got, _ = index._plan.priorities(qv)
+            got = index._plan.priorities(qv)
             for t, tree in enumerate(index.forest):
                 want = leaf_priorities(tree, qv)
                 for leaf in range(tree.n_leaves):
@@ -644,7 +679,6 @@ class TestForestPlan:
         for q in (rng.normal(size=12) for _ in range(10)):
             qv = loaded._unit_query(q)
             plan_rows = loaded._plan_candidates(qv, 500)
-            assert plan_rows is not None
             assert plan_rows.tolist() == sorted(loaded._walk_candidates(qv, 500).tolist())
             assert loaded.ann_topk(q, 15, search_k=500) == index.ann_topk(q, 15, search_k=500)
         assert not loaded.forest[0].leaf_items.flags.writeable
