@@ -15,12 +15,13 @@ approximate path searches a forest of random-hyperplane partition trees:
   exact cosine.  Approximation therefore affects which documents are
   considered, never the score a returned document gets.
 * Leaves of equal priority are taken by depth, then tree, then leaf id.
-* Two paths collect the same candidates.  When ``n_trees * n_docs`` is
-  small next to ``search_k`` (:data:`_PLAN_RATIO`), a
-  :class:`_ForestPlan` ranks every leaf of the forest in one vectorized
-  pass per query.  Otherwise one best-first queue walks all trees,
-  reading plain Python lists (:attr:`Tree.lists`) per pop and removing
-  repeated rows once per budget step.
+  One best-first queue walks all trees, reading plain Python lists
+  (:attr:`Tree.lists`) per pop and removing repeated rows once per
+  budget step.
+* When ``search_k`` is at least N, or ``n_trees * n_docs`` is at most
+  :data:`_SCAN_RATIO` times it, the query scores every row instead and
+  returns the exact result: there one matrix-vector product costs less
+  than the walk.
 
 Everything is deterministic: the split sampler is seeded per
 (seed, tree, node path), and ties in the final ranking break by ascending
@@ -55,11 +56,12 @@ DEFAULT_SEED = 42
 # becomes a forced (possibly oversized) leaf.
 _PICK_ATTEMPTS = 4
 
-# A query takes the whole-forest pass when n_trees * n_docs is at most
-# this many times its budget, and the heap walk otherwise: the pass costs
-# about n_trees * n_docs steps, the walk about its pops, which grow with
-# the budget.  Set from a grid of both paths' timings (see CHANGES.md).
-_PLAN_RATIO = 64
+# The scan rule: ann_topk scores every row when n_trees * n_docs is at
+# most this many times its budget.  The walk's cost grows with the
+# budget and the scan's with n_docs; in that range one BLAS
+# matrix-vector product over all rows beat the walk in every cell timed
+# (see CHANGES.md).
+_SCAN_RATIO = 64
 
 
 @dataclass
@@ -110,106 +112,6 @@ class Tree:
             and np.array_equal(self.leaf_bounds, other.leaf_bounds)
             and np.array_equal(self.leaf_items, other.leaf_items)
         )
-
-
-@dataclass(frozen=True)
-class _ForestPlan:
-    """A forest flattened for ranking all its leaves in one pass per query.
-
-    Internal nodes are numbered across the forest, tree after tree.  Edge
-    ``2 * i`` leads to node ``i``'s left child and carries ``-margin``,
-    edge ``2 * i + 1`` to its right child and carries ``+margin``; edge
-    ``2 * n_internal + t`` is tree ``t``'s root and carries ``+inf``.
-    Leaves are numbered by depth, then tree, then leaf id, the order in
-    which the heap walk pops leaves of equal priority.  A leaf's path
-    lists the edges from its root down, padded with its root edge, so its
-    priority is the minimum its edges carry: the priority the heap walk
-    gives it.  The arrays are read-only.
-    """
-
-    normals: np.ndarray      # (n_internal, dim) float32, every tree's
-    offsets: np.ndarray      # (n_internal,) float32
-    paths: np.ndarray        # (max(depth, 1), n_leaves) int32 edge ids
-    leaf_of_row: np.ndarray  # (n_trees, n_docs) int32
-
-    @classmethod
-    def build(cls, forest: list[Tree], n_docs: int) -> "_ForestPlan":
-        n_trees = len(forest)
-        n_internal = np.array([tree.n_internal for tree in forest])
-        n_leaves = np.array([tree.n_leaves for tree in forest])
-        node_base = np.cumsum(n_internal) - n_internal
-        leaf_base = np.cumsum(n_leaves) - n_leaves
-
-        def numbered(refs, t):
-            refs = np.asarray(refs, dtype=np.int64)
-            return np.where(refs >= 0, refs + node_base[t], refs - leaf_base[t])
-
-        children = np.concatenate(
-            [numbered(tree.children, t) for t, tree in enumerate(forest)]).reshape(-1, 2)
-        # Descend all trees a level at a time, extending each node's path.
-        # Each level keeps tree order and, within a tree, left to right,
-        # which is leaf-id order; leaves take numbers in the order met.
-        refs = numbered([tree.root for tree in forest], np.arange(n_trees))
-        path = np.empty((n_trees, 0), dtype=np.int32)
-        met, met_paths = [], []
-        while refs.size:
-            leaf = refs < 0
-            met.append(-refs[leaf] - 1)
-            met_paths.append(path[leaf])
-            nodes = refs[~leaf]
-            refs = children[nodes].ravel()
-            edges = (2 * nodes[:, None] + np.arange(2)).astype(np.int32).ravel()
-            path = np.column_stack((np.repeat(path[~leaf], 2, axis=0), edges))
-        met = np.concatenate(met)  # leaf ids, tree after tree, in numbering order
-        paths = np.empty((max(len(met_paths) - 1, 1), met.size), dtype=np.int32)
-        paths[:] = 2 * n_internal.sum() + np.repeat(np.arange(n_trees), n_leaves)[met]
-        start = 0
-        for depth, level in enumerate(met_paths):
-            paths[:depth, start:start + len(level)] = level.T
-            start += len(level)
-        number = np.empty_like(met)
-        number[met] = np.arange(met.size)
-        leaf_of_row = np.empty((n_trees, n_docs), dtype=np.int32)
-        for t, tree in enumerate(forest):
-            leaf_of_row[t, tree.leaf_items] = np.repeat(
-                number[leaf_base[t]:leaf_base[t] + n_leaves[t]], np.diff(tree.leaf_bounds))
-        plan = cls(
-            normals=np.concatenate([tree.normals for tree in forest]),
-            offsets=np.concatenate([tree.offsets for tree in forest]),
-            paths=paths,
-            leaf_of_row=leaf_of_row,
-        )
-        for arr in (plan.normals, plan.offsets, plan.paths, plan.leaf_of_row):
-            arr.flags.writeable = False
-        return plan
-
-    def priorities(self, qv: np.ndarray) -> np.ndarray:
-        """Each leaf's priority for ``qv``."""
-        # vecdot gives each row the bits of ``normals[i].dot(qv)``, which
-        # the walk computes; ``@`` and einsum do not.  The offsets are
-        # subtracted in float64, as the walk does.
-        margin = np.vecdot(self.normals, qv).astype(np.float64) - self.offsets
-        n_internal = margin.shape[0]
-        carried = np.full(2 * n_internal + self.leaf_of_row.shape[0], np.inf)
-        carried[0:2 * n_internal:2] = -margin
-        carried[1:2 * n_internal:2] = margin
-        return np.take(carried, self.paths).min(axis=0)
-
-    def candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
-        """The heap walk's candidate rows for ``qv``, ascending.
-
-        Leaves are ranked by descending priority, equal priorities by
-        leaf number, the walk's pop order, and the rows of the shortest
-        prefix of that ranking that holds ``search_k`` distinct rows come
-        back.
-        """
-        order = np.argsort(-self.priorities(qv), kind="stable")
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size, dtype=np.int32)
-        first = np.take(rank, self.leaf_of_row).min(axis=0)
-        need = min(search_k, first.size)
-        cut = np.partition(first, need - 1)[need - 1]
-        return np.flatnonzero(first <= cut)
 
 
 class CentroidIndex:
@@ -269,7 +171,6 @@ class CentroidIndex:
             if len(self.fingerprint) != _FINGERPRINT_BYTES:
                 raise ValueError(f"store fingerprint must be {_FINGERPRINT_BYTES} bytes")
         self._scratch = threading.local()
-        self._plan: _ForestPlan | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -307,7 +208,6 @@ class CentroidIndex:
         _check_leaf_cap_and_seed(leaf_cap, seed)
         self.forest = [_build_tree(self.unit_matrix, t, seed, leaf_cap)
                        for t in range(n_trees)]
-        self._plan = None
         self.leaf_cap = int(leaf_cap)
         self.seed = int(seed)
         return self
@@ -365,8 +265,10 @@ class CentroidIndex:
         """Approximate top-k: forest-selected candidates, exact cosine scores.
 
         ``search_k`` is the candidate budget, at least 1, and defaults
-        to 10 * n_trees * k.  A budget of at least N examines every
-        document and therefore matches :meth:`exact_topk` exactly.
+        to 10 * n_trees * k.  When the budget is at least N, or
+        ``n_trees * n_docs`` is at most :data:`_SCAN_RATIO` times it, every
+        document is scored and the result is :meth:`exact_topk`'s.
+        Otherwise :meth:`_walk_candidates` picks the candidates.
         """
         if not self.forest:
             raise StateError("index has no forest; call build_forest or use exact_topk")
@@ -379,10 +281,10 @@ class CentroidIndex:
             return []
         if search_k is None:
             search_k = 10 * self.n_trees * k
-        if search_k >= self.n_docs:
+        if search_k >= self.n_docs or self.n_trees * self.n_docs <= _SCAN_RATIO * search_k:
             scores = self.unit_matrix @ qv
             return self._rank(scores, None, k)
-        cands = self._candidates(qv, search_k)
+        cands = self._walk_candidates(qv, search_k)
         if cands.size == 0:
             return []
         scores = self.unit_matrix[cands] @ qv
@@ -395,32 +297,6 @@ class CentroidIndex:
             buf = np.zeros(self.n_docs, dtype=bool)
             self._scratch.seen = buf
         return buf
-
-    def _candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
-        """Distinct candidate rows for ``qv`` in ascending order.
-
-        Both paths give the rows of the shortest run of leaves, in the
-        walk's pop order, that holds ``search_k`` distinct rows.  The
-        plan runs when ``n_trees * n_docs`` is at most :data:`_PLAN_RATIO`
-        times the budget.  Ascending rows gather much faster from a large
-        matrix.
-        """
-        if self.n_trees * self.n_docs <= _PLAN_RATIO * search_k:
-            return self._plan_candidates(qv, search_k)
-        rows = self._walk_candidates(qv, search_k)
-        rows.sort()
-        return rows
-
-    def _plan_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
-        """:meth:`_ForestPlan.candidates`, building the plan on first use.
-
-        Two threads that query first may each build a plan; either one
-        serves, and neither changes once built.
-        """
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _ForestPlan.build(self.forest, self.n_docs)
-        return plan.candidates(qv, search_k)
 
     def _walk_candidates(self, qv: np.ndarray, search_k: int) -> np.ndarray:
         """Best-first traversal of all trees through one shared queue.
@@ -441,7 +317,8 @@ class CentroidIndex:
         step keeps the rows not seen yet.  A leaf adds at most its raw
         size, so a step never reaches past the leaf where leaf-by-leaf
         dedup would stop, and the candidate set is the same.  The rows
-        come back in no particular order.
+        come back in ascending order, which gathers much faster from a
+        large matrix.
         """
         forest = self.forest
         normals = [tree.normals for tree in forest]
@@ -485,7 +362,9 @@ class CentroidIndex:
                 seen[chunk] = False
         if not chunks:
             return np.empty(0, dtype=np.int32)
-        return np.concatenate(chunks)
+        rows = np.concatenate(chunks)
+        rows.sort()
+        return rows
 
     def _rank(self, scores: np.ndarray, cand_rows: np.ndarray | None, k: int) -> list[tuple[str, float]]:
         """Top-k of ``scores`` as (doc_id, score), ties by ascending id."""

@@ -89,26 +89,6 @@ def route_point(tree, x):
     return -ref - 1
 
 
-def leaf_priorities(tree, qv):
-    """Each leaf's priority as the walk computes it, keyed by leaf id.
-
-    A node's priority is the smallest hyperplane margin crossed to reach
-    it, +inf at the root: ``-margin`` into a left child and ``+margin``
-    into a right one, in Python floats.
-    """
-    priorities = {}
-    stack = [(tree.root, math.inf)]
-    while stack:
-        ref, pri = stack.pop()
-        if ref < 0:
-            priorities[-ref - 1] = pri
-            continue
-        margin = float(tree.normals[ref] @ qv) - float(tree.offsets[ref])
-        left, right = (int(c) for c in tree.children[ref])
-        stack += [(left, min(pri, -margin)), (right, min(pri, margin))]
-    return priorities
-
-
 def brute_candidates(forest, qv, search_k):
     """The forest's best-first traversal, deduplicating leaf by leaf.
 

@@ -20,6 +20,7 @@ from centroid_ir import (CentroidIndex, DocumentRecord, RankedRun,
                          TokenizedText, centroid_idf, centroid_simple,
                          evaluate, hybrid, load_index, rerank, save_index)
 from centroid_ir.cli import main
+from centroid_ir.index import _SCAN_RATIO
 from centroid_ir.rwmd import EmbeddedText, rwmd_d, rwmd_max, rwmd_q
 from stores import make_store, random_store
 from oracles import brute_average_precision, brute_ip_curve, brute_ndcg
@@ -114,11 +115,38 @@ def test_ann_fidelity():
         ids = np.char.add("d", np.arange(n).astype("U6"))
         index = CentroidIndex.from_matrix(ids, vectors)
         index.build_forest(n_trees=n_trees, leaf_cap=32, seed=211)
+        # This budget is above the 50 000 rows, so ann_topk scans them all
+        # and this gate never reads the forest; the configuration stays as
+        # the criterion fixed it.  test_ann_walk_recall gates the walk.
         search_k = 10 * n_trees * k
 
         recalls = []
         for _ in range(200):
             q = rng.standard_normal(dim, dtype=np.float32)
+            exact = {doc for doc, _ in index.exact_topk(q, k)}
+            approx = {doc for doc, _ in index.ann_topk(q, k, search_k=search_k)}
+            recalls.append(len(exact & approx) / k)
+        mean_recall = float(np.mean(recalls))
+        print(f"[acceptance]   mean recall@{k} at search_k={search_k}: {mean_recall:.4f}")
+        assert mean_recall >= 0.95
+
+
+def test_ann_walk_recall():
+    with criterion("ANN recall on the walk (50k clustered docs, 8 trees)", budget_s=60.0):
+        rng = np.random.default_rng(106)
+        n, dim, k, n_trees, search_k = 50_000, 100, 10, 8, 800
+        centres = rng.standard_normal((200, dim), dtype=np.float32)
+        noise = rng.standard_normal((n, dim), dtype=np.float32)
+        vectors = centres[rng.integers(0, 200, size=n)] + 0.3 * noise
+        ids = np.char.add("d", np.arange(n).astype("U6"))
+        index = CentroidIndex.from_matrix(ids, vectors)
+        index.build_forest(n_trees=n_trees, leaf_cap=32, seed=213)
+        # Outside the scan rule's range, so the candidates are the walk's.
+        assert n_trees * n > _SCAN_RATIO * search_k and search_k < n
+
+        recalls = []
+        for _ in range(40):
+            q = centres[rng.integers(0, 200)] + 0.3 * rng.standard_normal(dim, dtype=np.float32)
             exact = {doc for doc, _ in index.exact_topk(q, k)}
             approx = {doc for doc, _ in index.ann_topk(q, k, search_k=search_k)}
             recalls.append(len(exact & approx) / k)

@@ -9,8 +9,8 @@ import pytest
 from centroid_ir import (CentroidIndex, DimensionMismatch, DuplicateId,
                          IndexFormatError, StateError, cosine, load_index,
                          save_index)
-from centroid_ir.index import _PLAN_RATIO
-from oracles import brute_candidates, brute_topk_cosine, leaf_priorities, route_point
+from centroid_ir.index import _SCAN_RATIO
+from oracles import brute_candidates, brute_topk_cosine, route_point
 
 
 def gaussian_index(rng, n, dim, prefix="d", **doc_rows) -> tuple[CentroidIndex, np.ndarray]:
@@ -453,6 +453,29 @@ class TestAnnTopk:
         index.build_forest(n_trees=2, leaf_cap=8, seed=1)
         assert index.ann_topk(rng.normal(size=5), 0) == []
 
+    def test_scan_rule_picks_the_route(self):
+        # From the smallest budget the scan rule admits up to N - 1, every
+        # row is scored; one below it, only the walk's candidates are.
+        # 8 trees x 896 rows is a multiple of the ratio, so the smallest
+        # such budget meets the rule with equality.
+        rng = np.random.default_rng(70)
+        index, _ = gaussian_index(rng, 896, 12)
+        index.build_forest(n_trees=8, leaf_cap=16, seed=0)
+        scan_k = -(-index.n_trees * index.n_docs // _SCAN_RATIO)
+        assert 1 < scan_k < index.n_docs - 1
+        walk_differs = False
+        for _ in range(10):
+            q = rng.normal(size=12)
+            exact = index.exact_topk(q, 10)
+            for search_k in (scan_k, index.n_docs - 1):
+                assert index.ann_topk(q, 10, search_k=search_k) == exact, search_k
+            walked = index.ann_topk(q, 10, search_k=scan_k - 1)
+            rows = [r for leaf in brute_candidates(index.forest, index._unit_query(q), scan_k - 1)
+                    for r in leaf]
+            assert walked == ranked_from(index, q, rows, 10)
+            walk_differs |= walked != exact
+        assert walk_differs
+
     @pytest.mark.parametrize("search_k", [0, -5])
     def test_search_k_below_one_rejected(self, search_k):
         rng = np.random.default_rng(49)
@@ -460,6 +483,12 @@ class TestAnnTopk:
         index.build_forest(n_trees=2, leaf_cap=8, seed=1)
         with pytest.raises(ValueError, match="search_k"):
             index.ann_topk(rng.normal(size=5), 3, search_k=search_k)
+
+
+def scanned(index, search_k):
+    """Whether ``ann_topk`` scores every row at this budget: the scan rule."""
+    return (search_k >= index.n_docs
+            or index.n_trees * index.n_docs <= _SCAN_RATIO * search_k)
 
 
 def ranked_from(index, q, rows, k):
@@ -557,10 +586,10 @@ def with_queries(build):
 
 
 class TestCandidatesMatchOracle:
-    """Both candidate paths against the leaf-by-leaf reference in ``oracles``.
+    """The heap walk against the leaf-by-leaf reference in ``oracles``.
 
     Several fixtures tie leaves exactly, within a tree and across trees:
-    all three must take equal priorities by depth, then tree, then leaf id.
+    both must take equal priorities by depth, then tree, then leaf id.
     """
 
     @pytest.fixture(params=[
@@ -598,90 +627,24 @@ class TestCandidatesMatchOracle:
 
     def test_walk(self, case):
         for index, _, qv, search_k, want in self.each_budget(case):
-            got = index._walk_candidates(qv, search_k).tolist()
-            assert len(got) == len(set(got))
-            assert sorted(got) == want, search_k
+            assert index._walk_candidates(qv, search_k).tolist() == want, search_k
             assert not index._seen_buffer().any()
 
-    def test_plan(self, case):
-        for index, _, qv, search_k, want in self.each_budget(case):
-            assert index._plan_candidates(qv, search_k).tolist() == want, search_k
-
     def test_same_rows_and_ranking(self, case):
-        for index, q, qv, search_k, want in self.each_budget(case):
-            assert index._candidates(qv, search_k).tolist() == want, search_k
-            if search_k < index.n_docs:  # larger budgets rank every row exactly
+        for index, q, _, search_k, want in self.each_budget(case):
+            if not scanned(index, search_k):
                 for k in (1, 10):
                     assert index.ann_topk(q, k, search_k=search_k) == ranked_from(
                         index, q, want, k), (search_k, k)
 
-
-class TestForestPlan:
-    """When the whole-forest pass runs, and the life of its plan."""
-
-    def plan_index(self, seed=0):
-        rng = np.random.default_rng(70 + seed)
-        index, _ = gaussian_index(rng, 900, 12)
-        return index.build_forest(n_trees=8, leaf_cap=16, seed=seed), rng
-
-    @pytest.mark.parametrize("dim", [1, 7, 64, 100, 300])
-    def test_vecdot_gives_row_dot_bits(self, dim):
-        rng = np.random.default_rng(dim)
-        normals = rng.normal(size=(2000, dim)).astype(np.float32)
-        qv = rng.normal(size=dim).astype(np.float32)
-        rows = np.array([normals[i].dot(qv) for i in range(2000)])
-        assert np.array_equal(np.vecdot(normals, qv), rows), (
-            "np.vecdot no longer gives each row the bits of normals[i].dot(qv): the "
-            "forest plan's candidates are exact only while it does")
-
-    def test_priorities_are_the_walks_bit_for_bit(self):
-        index, rng = self.plan_index()
-        index.ann_topk(rng.normal(size=12), 5, search_k=800)
-        for _ in range(10):
-            qv = index._unit_query(rng.normal(size=12))
-            got = index._plan.priorities(qv)
-            for t, tree in enumerate(index.forest):
-                want = leaf_priorities(tree, qv)
-                for leaf in range(tree.n_leaves):
-                    rows = tree.leaf(leaf)
-                    assert (got[index._plan.leaf_of_row[t, rows]] == want[leaf]).all()
-
-    def test_budget_picks_the_path(self):
-        index, rng = self.plan_index()
-        plan_k = -(-index.n_trees * index.n_docs // _PLAN_RATIO)  # the smallest plan budget
-        index.ann_topk(rng.normal(size=12), 5, search_k=plan_k - 1)
-        assert index._plan is None
-        index.ann_topk(rng.normal(size=12), 5, search_k=plan_k)
-        assert index._plan is not None
-
-    def test_plan_is_read_only(self):
-        index, rng = self.plan_index()
-        index.ann_topk(rng.normal(size=12), 5, search_k=800)
-        plan = index._plan
-        assert not any(arr.flags.writeable for arr in (
-            plan.normals, plan.offsets, plan.paths, plan.leaf_of_row))
-
-    def test_build_forest_again_drops_the_plan(self):
-        index, rng = self.plan_index()
-        queries = [rng.normal(size=12) for _ in range(10)]
-        for q in queries:
-            index.ann_topk(q, 10, search_k=400)
-        index.build_forest(n_trees=5, leaf_cap=8, seed=3)
-        fresh = CentroidIndex(index.doc_ids, index.unit_matrix).build_forest(
-            n_trees=5, leaf_cap=8, seed=3)
-        for q in queries:
-            assert index.ann_topk(q, 10, search_k=400) == fresh.ann_topk(q, 10, search_k=400)
-
-    def test_loaded_index_takes_the_plan(self, tmp_path):
-        index, rng = self.plan_index(seed=4)
-        save_index(index, tmp_path / "p.crvi")
-        loaded = load_index(tmp_path / "p.crvi")
-        for q in (rng.normal(size=12) for _ in range(10)):
-            qv = loaded._unit_query(q)
-            plan_rows = loaded._plan_candidates(qv, 500)
-            assert plan_rows.tolist() == sorted(loaded._walk_candidates(qv, 500).tolist())
-            assert loaded.ann_topk(q, 15, search_k=500) == index.ann_topk(q, 15, search_k=500)
-        assert not loaded.forest[0].leaf_items.flags.writeable
+    def test_scanned_budgets_equal_exact(self, case):
+        # ``==`` on the scores too: a gathered subset's float32 dot can
+        # differ from the whole matrix's by one ulp.
+        for index, q, _, search_k, _ in self.each_budget(case):
+            if scanned(index, search_k):
+                for k in (1, 10):
+                    assert index.ann_topk(q, k, search_k=search_k) == index.exact_topk(
+                        q, k), (search_k, k)
 
 
 class TestPersistence:

@@ -9,7 +9,7 @@ from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
                          StateError, UnknownIds, build_corpus_index,
                          centroid_idf, centroid_simple, embed_text, hybrid,
                          rerank, retrieve, tokenize)
-from centroid_ir.index import _PLAN_RATIO
+from centroid_ir.index import _SCAN_RATIO
 from centroid_ir.rwmd import SCORERS
 from stores import make_store, random_store
 
@@ -102,9 +102,9 @@ class TestRetrieve:
 
     def test_ann_threads_match_serial(self):
         # Each calling thread dedups the walk's candidates in its own mask;
-        # the trees' list views and the forest plan are built on first
-        # use, and a fresh index makes the threads race for them.  A budget
-        # of 30 takes the walk (6 trees x 400 rows > 64 x 30), 200 the plan.
+        # the trees' list views are built on first use, and a fresh index
+        # makes the threads race for them.  A budget of 30 takes the walk
+        # (6 trees x 400 rows > 64 x 30); 200 falls under the scan rule.
         rng = np.random.default_rng(81)
         store = random_store(rng, 60, 6)
         words = list(store.vocab)
@@ -129,8 +129,8 @@ class TestRetrieve:
                     centroids))
         finally:
             sys.setswitchinterval(interval)
-        assert index.n_trees * index.n_docs > _PLAN_RATIO * 30
-        assert index.n_trees * index.n_docs <= _PLAN_RATIO * 200
+        assert index.n_trees * index.n_docs > _SCAN_RATIO * 30
+        assert index.n_trees * index.n_docs <= _SCAN_RATIO * 200
         serial_index = fresh_index()
         assert threaded == [[serial_index.ann_topk(c, 10, search_k=b) for b in (200, 30)]
                             for c in centroids]
