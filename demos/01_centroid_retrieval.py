@@ -46,7 +46,7 @@ documents = [
 
 question = Question("q1", "infarction in patients")
 print("question:", question.text)
-print("tokens:  ", tokenize(question.text, frozenset({"in"})).tokens)
+print("tokens:  ", tokenize(question.text, frozenset({"in"})))
 print()
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ for rank, (doc_id, score) in enumerate(run["q1"], start=1):
 
 print("\nIDF weights learned from the corpus:")
 for word in sorted(vectors):
-    print(f"  {word:<11s} idf={store.idf_of(word):.3f}")
+    print(f"  {word:<11s} idf={store.idf[word]:.3f}")
 
 # A question made only of stop words has a zero centroid and retrieves
 # nothing at all; downstream, a fallback system can fill the gap (see the

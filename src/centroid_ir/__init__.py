@@ -9,8 +9,8 @@ and evaluated against binary relevance judgments.
 
 from .centroids import Centroid, centroid_idf, centroid_simple, cosine
 from .corpus import DocumentRecord, iter_corpus, load_corpus
-from .embeddings import (EmbeddingStore, compute_idf, document_frequencies,
-                         load_embeddings, load_idf, save_idf)
+from .embeddings import (EmbeddingStore, compute_idf, load_embeddings, load_idf,
+                         save_idf)
 from .errors import (ConfigMismatch, DimensionMismatch, DuplicateId,
                      EngineError, EvaluationError, IndexFormatError,
                      ParseError, StateError, UnknownIds)
@@ -23,7 +23,7 @@ from .retrieval import (DEFAULT_K, Question, build_corpus_index, hybrid,
                         load_questions, rerank, retrieve)
 from .runs import RankedRun, read_run, write_run
 from .rwmd import EmbeddedText, embed_text, rwmd_d, rwmd_max, rwmd_q
-from .text import TokenizedText, default_stopwords, load_stopwords, tokenize
+from .text import default_stopwords, load_stopwords, tokenize
 
 __version__ = "0.1.0"
 
@@ -32,11 +32,10 @@ __all__ = [
     "DEFAULT_LEAF_CAP", "DEFAULT_SEED", "DEFAULT_TREES", "DimensionMismatch",
     "DocumentRecord", "DuplicateId", "EmbeddedText", "EmbeddingStore",
     "EngineError", "EvalReport", "EvaluationError", "IndexFormatError",
-    "ParseError", "Question", "RankedRun", "StateError", "TokenizedText",
-    "UnknownIds", "average_precision", "build_corpus_index",
-    "centroid_idf", "centroid_simple", "compute_idf", "cosine",
-    "default_stopwords", "document_frequencies", "embed_text", "evaluate",
-    "hybrid", "interpolated_precision_curve",
+    "ParseError", "Question", "RankedRun", "StateError", "UnknownIds",
+    "average_precision", "build_corpus_index", "centroid_idf",
+    "centroid_simple", "compute_idf", "cosine", "default_stopwords",
+    "embed_text", "evaluate", "hybrid", "interpolated_precision_curve",
     "iter_corpus", "load_corpus", "load_embeddings", "load_idf", "load_index",
     "load_questions", "load_stopwords", "ndcg_at_k", "read_qrels", "read_run",
     "rerank", "report_table", "report_to_dict", "report_to_json", "retrieve",

@@ -25,7 +25,6 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import DimensionMismatch, StateError
-from .text import TokenizedText
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class Centroid:
     vec: np.ndarray
     norm: float
     n_known_tokens: int
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
 
     @property
     def is_zero(self) -> bool:
@@ -63,9 +58,9 @@ def _weighted_mean(rows: np.ndarray, store: EmbeddingStore,
     return (w @ store.matrix[rows].astype(np.float64)) / denom, w
 
 
-def _weighted_centroid(text: TokenizedText, store: EmbeddingStore,
+def _weighted_centroid(tokens: list[str], store: EmbeddingStore,
                        idf_rows: np.ndarray | None) -> Centroid:
-    vec, w = _weighted_mean(store.rows(text), store, idf_rows)
+    vec, w = _weighted_mean(store.rows(tokens), store, idf_rows)
     if vec is None:
         return Centroid(vec=np.zeros(store.dim), norm=0.0, n_known_tokens=0)
     return Centroid(vec=vec, norm=float(np.linalg.norm(vec)),
@@ -78,19 +73,19 @@ def _idf_rows(store: EmbeddingStore) -> np.ndarray:
     return store.idf_rows
 
 
-def centroid_simple(text: TokenizedText, store: EmbeddingStore) -> Centroid:
+def centroid_simple(tokens: list[str], store: EmbeddingStore) -> Centroid:
     """Average of the in-vocabulary token embeddings, with multiplicity."""
-    return _weighted_centroid(text, store, None)
+    return _weighted_centroid(tokens, store, None)
 
 
-def centroid_idf(text: TokenizedText, store: EmbeddingStore) -> Centroid:
+def centroid_idf(tokens: list[str], store: EmbeddingStore) -> Centroid:
     """TF*IDF-weighted average of the in-vocabulary token embeddings.
 
     Requires IDF scores on the store.  Tokens whose weight is zero do not
     count towards ``n_known_tokens``; if every weight is zero the result
     is the zero centroid.
     """
-    return _weighted_centroid(text, store, _idf_rows(store))
+    return _weighted_centroid(tokens, store, _idf_rows(store))
 
 
 def centroid_matrix(rows: np.ndarray, bounds: np.ndarray, store: EmbeddingStore,

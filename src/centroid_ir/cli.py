@@ -137,7 +137,7 @@ def cmd_build_index(ns) -> int:
         idf_file = ns.idf_out or f"{ns.out}.idf"
         emb.save_idf(idf_file, store.idf, store.n_docs)
     save_index(index, ns.out)
-    meta = {"idf_file": idf_file}
+    meta = {"idf_file": os.path.abspath(idf_file) if idf_file else None}
     with open(_meta_path(ns.out), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
@@ -153,7 +153,13 @@ def _load_index_with_meta(ns):
     meta_path = _meta_path(ns.index)
     if os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", path=meta_path) from None
+        if not (isinstance(meta, dict) and isinstance(meta.get("idf_file"), (str, type(None)))):
+            raise ParseError("expected a JSON object whose 'idf_file' is a string or null",
+                             path=meta_path)
     return index, meta
 
 

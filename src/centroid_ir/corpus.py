@@ -42,13 +42,8 @@ def record_id(obj: dict, line_no: int, path) -> str:
     return text
 
 
-def iter_corpus(path) -> Iterator[DocumentRecord]:
-    """Stream documents from a JSON-lines corpus file.
-
-    Each line is an object with fields ``id``, ``title``, ``abstract``;
-    other fields are ignored.  A missing or null title or abstract reads
-    as ``""``; any other non-string one raises :class:`ParseError`.
-    """
+def _json_lines(path) -> Iterator[tuple[int, object]]:
+    """``(line_no, value)`` for each non-blank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -57,16 +52,26 @@ def iter_corpus(path) -> Iterator[DocumentRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line_no=line_no, path=path) from None
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise ParseError("document object lacks an 'id' field",
-                                 line_no=line_no, path=path)
-            doc_id = record_id(obj, line_no, path)
-            title, abstract = ("" if obj.get(key) is None else obj[key]
-                               for key in ("title", "abstract"))
-            if not (isinstance(title, str) and isinstance(abstract, str)):
-                raise ParseError("'title' and 'abstract' must be JSON strings or null",
-                                 line_no=line_no, path=path)
-            yield DocumentRecord(id=doc_id, title=title, abstract=abstract)
+            yield line_no, obj
+
+
+def iter_corpus(path) -> Iterator[DocumentRecord]:
+    """Stream documents from a JSON-lines corpus file.
+
+    Each line is an object with fields ``id``, ``title``, ``abstract``;
+    other fields are ignored.  A missing or null title or abstract reads
+    as ``""``; any other non-string one raises :class:`ParseError`.
+    """
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise ParseError("document object lacks an 'id' field", line_no=line_no, path=path)
+        doc_id = record_id(obj, line_no, path)
+        title, abstract = ("" if obj.get(key) is None else obj[key]
+                           for key in ("title", "abstract"))
+        if not (isinstance(title, str) and isinstance(abstract, str)):
+            raise ParseError("'title' and 'abstract' must be JSON strings or null",
+                             line_no=line_no, path=path)
+        yield DocumentRecord(id=doc_id, title=title, abstract=abstract)
 
 
 def load_corpus(path) -> dict[str, DocumentRecord]:

@@ -31,8 +31,7 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, StateError
-from .text import TokenizedText
+from .errors import DimensionMismatch, ParseError
 
 
 class EmbeddingStore:
@@ -73,20 +72,12 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
+    def rows(self, tokens: list[str]) -> np.ndarray:
+        """Vocabulary rows of the in-vocabulary ``tokens``, in order."""
+        return self.rows_many([tokens])[0]
 
-    def vector(self, token: str) -> np.ndarray | None:
-        """The embedding row for ``token``, or None if out of vocabulary."""
-        row = self.vocab.get(token)
-        return None if row is None else self.matrix[row]
-
-    def rows(self, text: TokenizedText) -> np.ndarray:
-        """Vocabulary rows of the in-vocabulary tokens of ``text``, in order."""
-        return self.rows_many([text])[0]
-
-    def rows_many(self, texts: Iterable[TokenizedText]) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`rows` of every text, concatenated, and their bounds.
+    def rows_many(self, texts: Iterable[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rows` of every token list, concatenated, and their bounds.
 
         Text i's rows are ``rows[bounds[i]:bounds[i + 1]]``; ``bounds``
         has one entry more than there are texts and starts at 0.  The
@@ -95,9 +86,9 @@ class EmbeddingStore:
         lengths = [0]
 
         def token_lists():
-            for text in texts:
-                lengths.append(len(text.tokens))
-                yield text.tokens
+            for tokens in texts:
+                lengths.append(len(tokens))
+                yield tokens
 
         tokens = itertools.chain.from_iterable(token_lists())
         found = np.fromiter(map(self.vocab.get, tokens, itertools.repeat(-1)), np.intp)
@@ -141,43 +132,28 @@ class EmbeddingStore:
             digest.update(b"\x00" if self._idf_digest is None else b"\x01" + self._idf_digest)
         return digest.digest()
 
-    def compute_idf(self, docs: Iterable[TokenizedText]) -> dict[str, float]:
+    def compute_idf(self, docs: Iterable[list[str]]) -> dict[str, float]:
         """Compute IDF scores over ``docs``, read once, and attach them."""
         idf, n_docs = compute_idf(docs)
         self.set_idf(idf, n_docs)
         return idf
 
-    def idf_of(self, token: str) -> float:
-        """Stored IDF, or the df = 1 ceiling ln(n_docs) for unseen tokens."""
-        if self.idf is None:
-            raise StateError("IDF scores have not been computed or loaded")
-        return self.idf.get(token, math.log(self.n_docs) if self.n_docs else 0.0)
 
+def compute_idf(docs: Iterable[list[str]]) -> tuple[dict[str, float], int]:
+    """idf(w) = ln(n_docs / df(w)) over a stream of token lists.
 
-def document_frequencies(docs: Iterable[TokenizedText]) -> tuple[dict[str, int], int]:
-    """Count, per token, the number of documents containing it.
-
-    Each document contributes its distinct tokens once.  Returns the df
-    map and the number of documents consumed.
+    Each document counts its distinct tokens once towards df.  Returns
+    the IDF map and the number of documents read, the pair that
+    :func:`load_idf` returns.  An empty stream yields ``({}, 0)``.
     """
     n_docs = 0
 
     def token_sets():
         nonlocal n_docs
-        for n_docs, doc in enumerate(docs, start=1):
-            yield set(doc.tokens)
+        for n_docs, tokens in enumerate(docs, start=1):
+            yield set(tokens)
 
     df = Counter(itertools.chain.from_iterable(token_sets()))
-    return dict(df), n_docs
-
-
-def compute_idf(docs: Iterable[TokenizedText]) -> tuple[dict[str, float], int]:
-    """idf(w) = ln(n_docs / df(w)) over a stream of tokenized documents.
-
-    Returns the IDF map and the number of documents read, the pair that
-    :func:`load_idf` returns.  An empty stream yields ``({}, 0)``.
-    """
-    df, n_docs = document_frequencies(docs)
     return {token: math.log(n_docs / n) for token, n in df.items()}, n_docs
 
 

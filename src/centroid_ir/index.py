@@ -100,19 +100,6 @@ class Tree:
         """
         return self.offsets.tolist(), self.children.tolist(), self.leaf_bounds.tolist()
 
-    def leaf(self, leaf_id: int) -> np.ndarray:
-        return self.leaf_items[self.leaf_bounds[leaf_id]:self.leaf_bounds[leaf_id + 1]]
-
-    def equals(self, other: "Tree") -> bool:
-        return (
-            self.root == other.root
-            and np.array_equal(self.normals, other.normals)
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.children, other.children)
-            and np.array_equal(self.leaf_bounds, other.leaf_bounds)
-            and np.array_equal(self.leaf_items, other.leaf_items)
-        )
-
 
 class CentroidIndex:
     """Normalized document-centroid matrix plus an optional tree forest.
@@ -380,26 +367,6 @@ class CentroidIndex:
         ids = self.doc_ids[rows]
         order = np.lexsort((ids, -sel_scores))[:kk]
         return [(str(ids[i]), float(sel_scores[i])) for i in order]
-
-    # -- equality ----------------------------------------------------------
-
-    def structural_eq(self, other: "CentroidIndex") -> bool:
-        """Node-by-node equality of everything the index file persists."""
-        return (
-            self.dim == other.dim
-            and self.mode == other.mode
-            and self.leaf_cap == other.leaf_cap
-            and self.seed == other.seed
-            and np.array_equal(self.doc_ids, other.doc_ids)
-            and np.array_equal(self.unit_matrix, other.unit_matrix)
-            and len(self.forest) == len(other.forest)
-            and all(a.equals(b) for a, b in zip(self.forest, other.forest))
-            and self.vocab_size == other.vocab_size
-            and self.fingerprint == other.fingerprint
-            and (self.rows is None) == (other.rows is None)
-            and (self.rows is None or (np.array_equal(self.rows, other.rows)
-                                       and np.array_equal(self.bounds, other.bounds)))
-        )
 
 
 def _check_leaf_cap_and_seed(leaf_cap: int, seed: int) -> None:

@@ -22,7 +22,6 @@ from those an index was built with.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,7 +30,7 @@ import numpy as np
 # centroid_idf, centroid_simple and embed_text are not called here, but
 # perfbench's tracer wraps them under these names, so they stay imported.
 from .centroids import centroid_idf, centroid_matrix, centroid_simple  # noqa: F401
-from .corpus import DocumentRecord, record_id
+from .corpus import DocumentRecord, _json_lines, record_id
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
 from .index import MODES, CentroidIndex
@@ -54,24 +53,17 @@ def load_questions(path) -> list[Question]:
     """Read JSON-lines questions: a string or integer ``id``, a string ``text``."""
     questions: list[Question] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no=line_no, path=path) from None
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError("question object needs 'id' and 'text' fields",
-                                 line_no=line_no, path=path)
-            qid = record_id(obj, line_no, path)
-            if not isinstance(obj["text"], str):
-                raise ParseError("'text' must be a JSON string", line_no=line_no, path=path)
-            if qid in seen:
-                raise DuplicateId(f"duplicate question id {qid!r} in {path}")
-            seen.add(qid)
-            questions.append(Question(qid=qid, text=obj["text"]))
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise ParseError("question object needs 'id' and 'text' fields",
+                             line_no=line_no, path=path)
+        qid = record_id(obj, line_no, path)
+        if not isinstance(obj["text"], str):
+            raise ParseError("'text' must be a JSON string", line_no=line_no, path=path)
+        if qid in seen:
+            raise DuplicateId(f"duplicate question id {qid!r} in {path}")
+        seen.add(qid)
+        questions.append(Question(qid=qid, text=obj["text"]))
     return questions
 
 
@@ -128,24 +120,19 @@ def retrieve(
             f"index was built with {index.mode!r} centroids, queried with {mode!r}")
     if stopwords is None:
         stopwords = default_stopwords()
-    questions = list(questions)
-    seen: set[str] = set()
-    for question in questions:
-        if question.qid in seen:
-            raise DuplicateId(f"duplicate question id {question.qid!r} in batch")
-        seen.add(question.qid)
+    texts = _question_texts(questions)
 
-    rows, bounds = store.rows_many(tokenize(question.text, stopwords) for question in questions)
+    rows, bounds = store.rows_many(tokenize(text, stopwords) for text in texts.values())
     centroids = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"), dtype=np.float64)
     _check_store(index, store)
     per_question: dict[str, list[tuple[str, float]]] = {}
-    for question, vec in zip(questions, centroids):
+    for qid, vec in zip(texts, centroids):
         if np.linalg.norm(vec) == 0.0:
-            per_question[question.qid] = []
+            per_question[qid] = []
         elif engine == "ann":
-            per_question[question.qid] = index.ann_topk(vec, k, search_k=search_k)
+            per_question[qid] = index.ann_topk(vec, k, search_k=search_k)
         else:
-            per_question[question.qid] = index.exact_topk(vec, k)
+            per_question[qid] = index.exact_topk(vec, k)
     return RankedRun(tag=f"{mode}-{engine}", per_question=per_question)
 
 
@@ -164,7 +151,8 @@ def rerank(
     The document set per question is preserved exactly; only the order
     and the scores change (scores become distances).  ``depth`` limits
     reranking to the top so-many documents, leaving the tail in its
-    original order behind them; it must be at least 1.
+    original order behind them; it must be at least 1.  A question list
+    that repeats an id raises :class:`DuplicateId`.
     Ties break by ascending doc_id;
     texts with no in-vocabulary tokens score +inf and sink to the bottom.
     ``threads`` is accepted for callers that still pass it and must be at
@@ -240,10 +228,20 @@ def rerank(
     return RankedRun(tag=tag, per_question=per_question)
 
 
+def _question_texts(questions: Iterable[Question]) -> dict[str, str]:
+    """qid -> text in question order; :class:`DuplicateId` for a repeated qid."""
+    texts: dict[str, str] = {}
+    for q in questions:
+        if q.qid in texts:
+            raise DuplicateId(f"duplicate question id {q.qid!r} in batch")
+        texts[q.qid] = q.text
+    return texts
+
+
 def _as_question_map(questions) -> dict[str, str]:
     if isinstance(questions, Mapping):
         return {str(qid): getattr(q, "text", q) for qid, q in questions.items()}
-    return {q.qid: q.text for q in questions}
+    return _question_texts(questions)
 
 
 def hybrid(primary_run: RankedRun, fallback_run: RankedRun) -> RankedRun:

@@ -24,9 +24,6 @@ class RankedRun:
     tag: str = ""
     per_question: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
 
-    def qids(self) -> list[str]:
-        return list(self.per_question)
-
     def __getitem__(self, qid: str) -> list[tuple[str, float]]:
         return self.per_question[qid]
 

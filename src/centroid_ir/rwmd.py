@@ -30,7 +30,6 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import DimensionMismatch
-from .text import TokenizedText
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ class EmbeddedText:
         return self.matrix.shape[1]
 
 
-def embed_text(text: TokenizedText, store: EmbeddingStore) -> EmbeddedText:
-    """The vocabulary rows of ``text`` and their float64 vectors."""
-    return embed_rows(store.rows(text), store)
+def embed_text(tokens: list[str], store: EmbeddingStore) -> EmbeddedText:
+    """The vocabulary rows of ``tokens`` and their float64 vectors."""
+    return embed_rows(store.rows(tokens), store)
 
 
 def embed_rows(rows: np.ndarray, store: EmbeddingStore) -> EmbeddedText:

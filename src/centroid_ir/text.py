@@ -16,9 +16,7 @@ below U+10000; one above is classified again each time it is seen.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
@@ -40,41 +38,18 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
-@dataclass(frozen=True)
-class TokenizedText:
-    """Tokens of one text in original order, duplicates preserved.
-
-    ``tf`` is derived on first use: ``sum(tf.values()) == len(tokens)``
-    always holds, since it counts every occurrence.
-    """
-
-    tokens: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @cached_property
-    def tf(self) -> dict[str, int]:
-        return dict(Counter(self.tokens))
-
-    @classmethod
-    def from_tokens(cls, tokens: list[str]) -> "TokenizedText":
-        return cls(tokens=tokens)
-
-
-def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> TokenizedText:
+def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Lowercase ``text``, split on non-alphanumerics, and filter.
 
     Filtering drops stop-word tokens and pure-digit tokens of length 1.
-    Token order follows the input; empty input yields an empty result.
-    Stop-word entries are expected lowercase.
+    Token order follows the input, duplicates kept; empty input yields an
+    empty list.  Stop-word entries are expected lowercase.
     """
-    tokens = [
+    return [
         t
         for t in text.lower().translate(_SEPARATORS).split()
         if t not in stopwords and not (len(t) == 1 and t.isdigit())
     ]
-    return TokenizedText.from_tokens(tokens)
 
 
 def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:

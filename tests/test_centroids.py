@@ -4,41 +4,36 @@ import numpy as np
 import pytest
 
 from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
-                         EmbeddingStore, StateError, TokenizedText,
-                         build_corpus_index, centroid_idf, centroid_simple,
-                         cosine, tokenize)
+                         EmbeddingStore, StateError, build_corpus_index,
+                         centroid_idf, centroid_simple, cosine, tokenize)
 from centroid_ir.centroids import centroid_matrix
 from stores import make_store, random_store
 from oracles import brute_centroid
 
 
-def text_of(*tokens):
-    return TokenizedText.from_tokens(list(tokens))
-
-
 class TestSimpleCentroid:
     def test_single_token(self, ab_store):
-        cent = centroid_simple(text_of("a"), ab_store)
+        cent = centroid_simple(["a"], ab_store)
         assert np.allclose(cent.vec, [1.0, 0.0])
         assert cent.n_known_tokens == 1
 
     def test_two_tokens_average(self, ab_store):
-        cent = centroid_simple(text_of("a", "b"), ab_store)
+        cent = centroid_simple(["a", "b"], ab_store)
         assert np.allclose(cent.vec, [0.5, 0.5], atol=1e-12)
 
     def test_all_oov_is_zero(self, ab_store):
-        cent = centroid_simple(text_of("zzz", "zzz", "zzz"), ab_store)
+        cent = centroid_simple(["zzz", "zzz", "zzz"], ab_store)
         assert cent.is_zero
         assert cent.n_known_tokens == 0
         assert np.all(cent.vec == 0.0)
 
     def test_oov_tokens_skipped(self, ab_store):
-        with_oov = centroid_simple(text_of("a", "qqq", "b"), ab_store)
-        without = centroid_simple(text_of("a", "b"), ab_store)
+        with_oov = centroid_simple(["a", "qqq", "b"], ab_store)
+        without = centroid_simple(["a", "b"], ab_store)
         assert np.array_equal(with_oov.vec, without.vec)
 
     def test_norm_matches_vector(self, ab_store):
-        cent = centroid_simple(text_of("a", "a", "b"), ab_store)
+        cent = centroid_simple(["a", "a", "b"], ab_store)
         assert cent.norm == pytest.approx(float(np.linalg.norm(cent.vec)), rel=1e-9)
 
 
@@ -46,24 +41,24 @@ class TestIdfCentroid:
     def test_hand_example(self):
         store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]},
                            idf={"a": 1.0, "b": 2.0})
-        cent = centroid_idf(text_of("a", "a", "b"), store)
+        cent = centroid_idf(["a", "a", "b"], store)
         assert np.allclose(cent.vec, [0.5, 0.5], atol=1e-12)
 
     def test_single_token_weights_cancel(self):
         store = make_store({"a": [0.25, -2.0]}, idf={"a": 3.7})
-        cent = centroid_idf(text_of("a"), store)
+        cent = centroid_idf(["a"], store)
         assert np.allclose(cent.vec, [0.25, -2.0], atol=1e-12)
 
     def test_all_idf_zero_gives_zero_vector(self):
         store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]},
                            idf={"a": 0.0, "b": 0.0})
-        cent = centroid_idf(text_of("a", "b"), store)
+        cent = centroid_idf(["a", "b"], store)
         assert cent.is_zero
         assert cent.n_known_tokens == 0
 
     def test_requires_idf(self, ab_store):
         with pytest.raises(StateError):
-            centroid_idf(text_of("a"), ab_store)
+            centroid_idf(["a"], ab_store)
 
     def test_unit_idf_equals_simple_bitwise(self):
         rng = np.random.default_rng(5)
@@ -72,9 +67,8 @@ class TestIdfCentroid:
         words = list(store.vocab)
         for _ in range(100):
             tokens = rng.choice(words, size=rng.integers(1, 25)).tolist()
-            text = TokenizedText.from_tokens(tokens)
-            simple = centroid_simple(text, store)
-            weighted = centroid_idf(text, store)
+            simple = centroid_simple(tokens, store)
+            weighted = centroid_idf(tokens, store)
             assert np.array_equal(simple.vec, weighted.vec)
             assert simple.n_known_tokens == weighted.n_known_tokens
 
@@ -85,8 +79,7 @@ class TestIdfCentroid:
         words = list(store.vocab)
         for scale in (0.5, 2.0, 117.0):
             store.set_idf(base_idf, n_docs=10)
-            texts = [TokenizedText.from_tokens(rng.choice(words, size=12).tolist())
-                     for _ in range(20)]
+            texts = [rng.choice(words, size=12).tolist() for _ in range(20)]
             reference = [centroid_idf(t, store) for t in texts]
             store.set_idf({w: v * scale for w, v in base_idf.items()}, n_docs=10)
             for t, ref in zip(texts, reference):
@@ -103,10 +96,10 @@ class TestIdfCentroid:
         words = list(store.vocab)
         for _ in range(50):
             tokens = rng.choice(words, size=rng.integers(1, 10)).tolist()
-            cent = centroid_idf(TokenizedText.from_tokens(tokens), store)
+            cent = centroid_idf(tokens, store)
             if cent.is_zero:
                 continue
-            vecs = np.array([store.vector(t) for t in tokens], dtype=np.float64)
+            vecs = np.array([store.matrix[store.vocab[t]] for t in tokens], dtype=np.float64)
             assert np.all(cent.vec >= vecs.min(axis=0) - 1e-9)
             assert np.all(cent.vec <= vecs.max(axis=0) + 1e-9)
 
@@ -173,9 +166,8 @@ class TestBruteCentroidOracle:
     def test_modes_match_oracle(self, seed):
         store, vectors, idf, n_docs, texts = self.case(seed)
         for tokens in texts:
-            text = TokenizedText.from_tokens(tokens)
             for fn, table in ((centroid_simple, None), (centroid_idf, idf)):
-                cent = fn(text, store)
+                cent = fn(tokens, store)
                 want, known = brute_centroid(tokens, vectors, table, n_docs)
                 np.testing.assert_allclose(cent.vec, want, rtol=0, atol=1e-12)
                 assert cent.n_known_tokens == known
@@ -185,7 +177,7 @@ class TestBruteCentroidOracle:
     def test_all_oov_is_zero_centroid(self):
         store, vectors, idf, n_docs, _ = self.case(0)
         for fn in (centroid_simple, centroid_idf):
-            cent = fn(TokenizedText.from_tokens(["oov1", "oov3"]), store)
+            cent = fn(["oov1", "oov3"], store)
             assert cent.is_zero and cent.n_known_tokens == 0
             assert np.array_equal(cent.vec, np.zeros(store.dim))
 
@@ -193,7 +185,7 @@ class TestBruteCentroidOracle:
         store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32),
                                idf={"a": 0.5}, n_docs=7)
         assert store.idf_rows.tolist() == [0.5, math.log(7)]
-        cent = centroid_idf(TokenizedText.from_tokens(["a", "b"]), store)
+        cent = centroid_idf(["a", "b"], store)
         np.testing.assert_allclose(cent.vec, [0.5 / (0.5 + math.log(7)),
                                               math.log(7) / (0.5 + math.log(7))],
                                    rtol=0, atol=1e-15)
@@ -222,14 +214,12 @@ class TestBruteCentroidOracle:
         texts = texts + [[], ["w0", "w1", "w0"]]
         kept = [[t for t in tokens if t not in stop] for tokens in texts]
         fn, table = (centroid_idf, idf) if mode == "centidf" else (centroid_simple, None)
-        per_text = np.array([fn(TokenizedText.from_tokens(tokens), store).vec
-                             for tokens in kept])
+        per_text = np.array([fn(tokens, store).vec for tokens in kept])
         want = [brute_centroid(tokens, vectors, table, n_docs)[0] for tokens in kept]
 
-        tokenized = [TokenizedText.from_tokens(tokens) for tokens in kept]
-        matrix = centroid_matrix(*store.rows_many(tokenized), store, idf=mode == "centidf")
+        matrix = centroid_matrix(*store.rows_many(kept), store, idf=mode == "centidf")
         assert matrix.tobytes() == per_text.astype(np.float32).tobytes()
-        exact = centroid_matrix(*store.rows_many(tokenized), store, idf=mode == "centidf",
+        exact = centroid_matrix(*store.rows_many(kept), store, idf=mode == "centidf",
                                 dtype=np.float64)
         assert exact.tobytes() == per_text.tobytes()
         np.testing.assert_allclose(per_text, want, rtol=0, atol=1e-12)
@@ -237,7 +227,7 @@ class TestBruteCentroidOracle:
         records = [DocumentRecord(f"d{i}", "", " ".join(tokens))
                    for i, tokens in enumerate(texts)]
         index = build_corpus_index(records, store, mode=mode, stopwords=stop)
-        rows, bounds = store.rows_many(tokenized)
+        rows, bounds = store.rows_many(kept)
         assert index.rows.tolist() == rows.tolist() and index.bounds.tolist() == bounds.tolist()
         assert (index.vocab_size, index.fingerprint) == (
             len(store), store.fingerprint(idf=mode == "centidf"))

@@ -196,6 +196,29 @@ class TestSearch:
         self.search(workspace, "two.txt")
         assert (workspace / "one.txt").read_bytes() == (workspace / "two.txt").read_bytes()
 
+    def test_searches_from_another_directory(self, workspace, monkeypatch):
+        # The sidecar records the IDF file's absolute path, not the
+        # relative one build-index was given.
+        for name in ("a", "b"):
+            (workspace / name).mkdir()
+        monkeypatch.chdir(workspace / "a")
+        assert main(["build-index", "--embeddings", "../vectors.txt",
+                     "--corpus", "../corpus.jsonl", "--out", "idx.bin", "--compute-idf"]) == 0
+        monkeypatch.chdir(workspace / "b")
+        assert main(["search", "--index", "../a/idx.bin", "--embeddings", "../vectors.txt",
+                     "--questions", "../questions.jsonl", "--out", "run.txt"]) == 0
+        assert (workspace / "b" / "run.txt").read_text().startswith("q1 Q0 d1 1 ")
+
+    @pytest.mark.parametrize("sidecar", ["[]", '{"idf_file": 12345}', "{not json"])
+    def test_bad_sidecar_exit_3(self, workspace, capsys, sidecar):
+        build(workspace)
+        meta = workspace / "index.crvi.meta.json"
+        meta.write_text(sidecar)
+        capsys.readouterr()
+        assert self.search(workspace) == 3
+        assert f"error: {meta}: " in capsys.readouterr().err
+        assert not (workspace / "run.txt").exists()
+
     def test_unreadable_index_exit_2(self, workspace):
         code = main(["search", "--index", str(workspace / "absent.crvi"),
                      "--embeddings", str(workspace / "vectors.txt"),

@@ -1,14 +1,14 @@
 import math
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
-                         StateError, TokenizedText, compute_idf,
-                         document_frequencies, load_embeddings, load_idf,
-                         save_idf)
+                         StateError, centroid_idf, compute_idf,
+                         load_embeddings, load_idf, save_idf)
 from stores import make_store
 from oracles import brute_load_embeddings
 
@@ -24,14 +24,15 @@ class TestLoadEmbeddings:
         store = load_embeddings(_write(tmp_path, "2 2\na 1.0 0.0\nb 0.0 1.0\n"))
         assert store.dim == 2
         assert len(store) == 2
-        assert np.allclose(store.vector("a"), [1.0, 0.0])
+        assert np.allclose(store.matrix[store.vocab["a"]], [1.0, 0.0])
 
     def test_header_optional(self, tmp_path):
         with_header = load_embeddings(_write(tmp_path, "2 2\na 1.0 0.0\nb 0.0 1.0\n"))
         without = load_embeddings(_write(tmp_path, "a 1.0 0.0\nb 0.0 1.0\n"))
         assert without.dim == with_header.dim == 2
         assert set(without.vocab) == set(with_header.vocab)
-        assert np.array_equal(without.vector("b"), with_header.vector("b"))
+        assert np.array_equal(without.matrix[without.vocab["b"]],
+                              with_header.matrix[with_header.vocab["b"]])
 
     def test_dimension_mismatch(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="line 2"):
@@ -44,12 +45,12 @@ class TestLoadEmbeddings:
     def test_duplicate_word_last_wins(self, tmp_path):
         store = load_embeddings(_write(tmp_path, "a 1.0 0.0\na 0.5 0.5\n"))
         assert len(store) == 1
-        assert np.allclose(store.vector("a"), [0.5, 0.5])
+        assert np.allclose(store.matrix[store.vocab["a"]], [0.5, 0.5])
 
     def test_oov_lookup_is_none(self, tmp_path):
         store = load_embeddings(_write(tmp_path, "a 1.0 0.0\n"))
-        assert store.vector("zzz") is None
-        assert "zzz" not in store
+        assert "zzz" not in store.vocab
+        assert store.rows(["zzz"]).size == 0
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -191,7 +192,7 @@ class TestStoreRows:
 
     def test_permuted_rows_accepted(self):
         store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32))
-        assert store.rows(TokenizedText.from_tokens(["a", "b"])).tolist() == [0, 1]
+        assert store.rows(["a", "b"]).tolist() == [0, 1]
 
     def test_rows_many_equals_rows_per_text(self):
         rng = np.random.default_rng(23)
@@ -199,14 +200,13 @@ class TestStoreRows:
         store = EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(12))},
                                rng.normal(size=(12, 3)).astype(np.float32))
         pool = words + ["oov1", "oov2"]
-        texts = [TokenizedText.from_tokens(rng.choice(pool, size=rng.integers(0, 15)).tolist())
-                 for _ in range(60)]
-        texts += [TokenizedText(), TokenizedText.from_tokens(["oov1", "oov2"])]
+        texts = [rng.choice(pool, size=rng.integers(0, 15)).tolist() for _ in range(60)]
+        texts += [[], ["oov1", "oov2"]]
         rows, bounds = store.rows_many(texts)
         assert rows.dtype == bounds.dtype == np.intp
         assert bounds[0] == 0 and bounds[-1] == len(rows) and len(bounds) == len(texts) + 1
         for i, text in enumerate(texts):
-            want = [store.vocab[t] for t in text.tokens if t in store.vocab]
+            want = [store.vocab[t] for t in text if t in store.vocab]
             assert rows[bounds[i]:bounds[i + 1]].tolist() == want
             assert store.rows(text).tolist() == want
             assert store.rows(text).dtype == np.intp
@@ -266,20 +266,17 @@ class TestFingerprint:
 
 
 class TestComputeIdf:
-    def docs(self, *token_lists):
-        return [TokenizedText.from_tokens(list(tokens)) for tokens in token_lists]
-
     def test_half_the_docs(self):
-        idf, n = compute_idf(self.docs(["w", "x"], ["w"], ["x"], ["y"]))
+        idf, n = compute_idf([["w", "x"], ["w"], ["x"], ["y"]])
         assert n == 4
         assert idf["w"] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_everywhere_is_zero(self):
-        idf, _ = compute_idf(self.docs(["w"], ["w"], ["w", "z"], ["w"]))
+        idf, _ = compute_idf([["w"], ["w"], ["w", "z"], ["w"]])
         assert idf["w"] == 0.0
 
     def test_single_doc(self):
-        idf, _ = compute_idf(self.docs(["w", "w", "q"]))
+        idf, _ = compute_idf([["w", "w", "q"]])
         assert idf["w"] == 0.0
         assert idf["q"] == 0.0
 
@@ -287,17 +284,18 @@ class TestComputeIdf:
         assert compute_idf([]) == ({}, 0)
 
     def test_multiplicity_counts_once(self):
-        df, n = document_frequencies(self.docs(["w", "w", "w"], ["x"]))
-        assert df == {"w": 1, "x": 1}
+        # "w" is in one document of two, however often it occurs there.
+        idf, n = compute_idf([["w", "w", "w"], ["x"]])
+        assert idf == {"w": math.log(2), "x": math.log(2)}
         assert n == 2
 
     def test_monotone_in_df(self):
         rng = np.random.default_rng(11)
         words = [f"w{i}" for i in range(20)]
-        docs = self.docs(*(rng.choice(words, size=rng.integers(1, 10)).tolist()
-                           for _ in range(30)))
-        df, n = document_frequencies(docs)
+        docs = [rng.choice(words, size=rng.integers(1, 10)).tolist() for _ in range(30)]
+        df = Counter(w for doc in docs for w in set(doc))
         idf, _ = compute_idf(docs)
+        assert idf.keys() == df.keys()
         for w1 in df:
             for w2 in df:
                 if df[w1] < df[w2]:
@@ -308,48 +306,53 @@ class TestComputeIdf:
 class TestIdfLookup:
     def test_known_token(self):
         store = make_store({"a": [1.0, 0.0]}, idf={"a": math.log(2)}, n_docs=4)
-        assert store.idf_of("a") == pytest.approx(0.6931, abs=1e-4)
+        assert store.idf["a"] == pytest.approx(0.6931, abs=1e-4)
+        assert store.idf_rows[store.vocab["a"]] == store.idf["a"]
 
     def test_unseen_token_gets_ceiling(self):
-        store = make_store({"a": [1.0, 0.0]}, idf={"a": 0.1}, n_docs=4)
-        assert store.idf_of("unseen") == pytest.approx(math.log(4), abs=1e-12)
+        store = make_store({"a": [1.0, 0.0], "unseen": [0.0, 1.0]}, idf={"a": 0.1}, n_docs=4)
+        assert "unseen" not in store.idf
+        assert store.idf_rows[store.vocab["unseen"]] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_everywhere_token_is_zero(self):
         store = make_store({"a": [1.0, 0.0]}, idf={"a": 0.0}, n_docs=4)
-        assert store.idf_of("a") == 0.0
+        assert store.idf["a"] == store.idf_rows[store.vocab["a"]] == 0.0
 
     def test_never_computed_raises(self):
         store = make_store({"a": [1.0, 0.0]})
+        assert store.idf is None and store.idf_rows is None
         with pytest.raises(StateError):
-            store.idf_of("a")
+            centroid_idf(["a"], store)
 
     def test_store_compute_idf_attaches(self):
         store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        docs = [TokenizedText.from_tokens(t) for t in (["a"], ["a", "b"])]
-        store.compute_idf(docs)
+        store.compute_idf([["a"], ["a", "b"]])
         assert store.n_docs == 2
-        assert store.idf_of("a") == 0.0
-        assert store.idf_of("b") == pytest.approx(math.log(2), abs=1e-12)
+        assert store.idf["a"] == 0.0
+        assert store.idf["b"] == pytest.approx(math.log(2), abs=1e-12)
+        assert store.idf_rows.tolist() == [store.idf["a"], store.idf["b"]]
 
     def test_store_compute_idf_reads_a_generator_once(self):
         token_lists = [["a"], ["a", "b"], ["c"], []]
-        docs = [TokenizedText.from_tokens(t) for t in token_lists]
         from_list = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         from_stream = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        one_shot = (TokenizedText.from_tokens(t) for t in token_lists)
-        assert from_stream.compute_idf(one_shot) == from_list.compute_idf(docs)
+        one_shot = (tokens for tokens in token_lists)
+        assert from_stream.compute_idf(one_shot) == from_list.compute_idf(token_lists)
         assert from_stream.n_docs == from_list.n_docs == 4
         assert from_stream.idf == from_list.idf
         assert np.array_equal(from_stream.idf_rows, from_list.idf_rows)
 
     def test_store_compute_idf_holds_one_document_at_a_time(self):
+        class Tokens(list):
+            """A token list that can be weakly referenced; a plain list cannot."""
+
         refs = []
 
         def docs():
             for tokens in (["a"], ["a", "b"], ["c"], ["b"]):
                 # Only the document the reader is on may still be alive.
                 assert sum(ref() is not None for ref in refs) <= 1
-                doc = TokenizedText.from_tokens(tokens)
+                doc = Tokens(tokens)
                 refs.append(weakref.ref(doc))
                 yield doc
                 del doc

@@ -200,6 +200,13 @@ class TestRerank:
             for qid in per_question:
                 assert sorted(d for d, _ in out[qid]) == sorted(d for d, _ in per_question[qid])
 
+    def test_duplicate_qids_rejected(self, toy):
+        store, docs, _ = toy
+        run = RankedRun(tag="x", per_question={"q1": [("db", 0.9), ("da", 0.8)]})
+        with pytest.raises(DuplicateId, match="q1"):
+            rerank(run, [Question("q1", "alpha"), Question("q1", "beta")], docs, store,
+                   stopwords=STOP)
+
     def test_oov_document_sinks_to_bottom(self, toy):
         store, docs, _ = toy
         all_docs = dict(docs)
@@ -565,7 +572,7 @@ class TestBuildCorpusIndex:
         index = build_corpus_index(docs, store, mode="centidf", stopwords=STOP,
                                    compute_idf=True)
         assert store.n_docs == 2
-        assert store.idf_of("alpha") > store.idf_of("beta")
+        assert store.idf["alpha"] > store.idf["beta"]
         assert index.mode == "centidf"
 
     def test_all_stopword_doc_gets_zero_row(self):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from centroid_ir import (DimensionMismatch, TokenizedText, embed_text,
-                         rwmd_d, rwmd_max, rwmd_q)
+from centroid_ir import DimensionMismatch, embed_text, rwmd_d, rwmd_max, rwmd_q
 from centroid_ir.rwmd import EmbeddedText
 from stores import random_store
 
@@ -118,14 +117,14 @@ class TestProperties:
 
 class TestEmbedText:
     def test_keeps_order_and_duplicates(self, ab_store):
-        text = TokenizedText.from_tokens(["b", "zzz", "a", "b"])
+        text = ["b", "zzz", "a", "b"]
         emb = embed_text(text, ab_store)
         assert emb.rows.tolist() == [1, 0, 1]
         assert emb.matrix.shape == (3, 2)
         assert np.allclose(emb.matrix[0], [0.0, 1.0])
 
     def test_all_oov_is_empty_with_dim(self, ab_store):
-        emb = embed_text(TokenizedText.from_tokens(["qq", "ww"]), ab_store)
+        emb = embed_text(["qq", "ww"], ab_store)
         assert len(emb) == 0
         assert emb.dim == 2
 
@@ -136,8 +135,8 @@ class TestEmbedText:
         for _ in range(100):
             q_tokens = rng.choice(words, size=rng.integers(1, 5)).tolist()
             d_tokens = rng.choice(words, size=rng.integers(1, 9)).tolist()
-            q = embed_text(TokenizedText.from_tokens(q_tokens), store)
-            d = embed_text(TokenizedText.from_tokens(d_tokens), store)
+            q = embed_text(q_tokens, store)
+            d = embed_text(d_tokens, store)
             expected_q = 0.0
             for qv in q.matrix:
                 expected_q += min(float(np.linalg.norm(qv - dv)) for dv in d.matrix)

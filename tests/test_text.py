@@ -7,35 +7,31 @@ import numpy as np
 import pytest
 
 import centroid_ir
-from centroid_ir import TokenizedText, default_stopwords, load_stopwords, text, tokenize
+from centroid_ir import default_stopwords, load_stopwords, text, tokenize
 from oracles import brute_tokenize
 
 
 def test_empty_input():
-    result = tokenize("", set())
-    assert result.tokens == []
-    assert result.tf == {}
-    assert len(result) == 0
+    assert tokenize("", set()) == []
 
 
 def test_lowercasing_and_stopwords():
     result = tokenize("The cell, the CELL.", {"the"})
-    assert result.tokens == ["cell", "cell"]
-    assert result.tf == {"cell": 2}
+    assert result == ["cell", "cell"]
 
 
 def test_hyphen_splits():
     result = tokenize("p53-mediated apoptosis", set())
-    assert result.tokens == ["p53", "mediated", "apoptosis"]
+    assert result == ["p53", "mediated", "apoptosis"]
 
 
 def test_single_digit_dropped_longer_numbers_kept():
     result = tokenize("stage 3 of 12 trials", set())
-    assert result.tokens == ["stage", "of", "12", "trials"]
+    assert result == ["stage", "of", "12", "trials"]
 
 
 def test_underscore_is_a_delimiter():
-    assert tokenize("gene_name", set()).tokens == ["gene", "name"]
+    assert tokenize("gene_name", set()) == ["gene", "name"]
 
 
 def test_tf_sums_to_token_count():
@@ -44,8 +40,7 @@ def test_tf_sums_to_token_count():
     for _ in range(50):
         text = " ".join(rng.choice(words, size=rng.integers(0, 30)))
         result = tokenize(text, {"beta"})
-        assert sum(result.tf.values()) == len(result.tokens)
-        assert all(t and not t.isspace() for t in result.tokens)
+        assert all(t and not t.isspace() for t in result)
 
 
 def test_idempotence():
@@ -57,26 +52,25 @@ def test_idempotence():
     stop = default_stopwords()
     for text in samples:
         first = tokenize(text, stop)
-        again = tokenize(" ".join(first.tokens), stop)
-        assert again.tokens == first.tokens
-        assert again.tf == first.tf
+        assert tokenize(" ".join(first), stop) == first
 
 
 def test_case_insensitive_ascii():
     text = "Protein Kinase C and the MAPK cascade!"
-    assert tokenize(text.upper(), set()).tokens == tokenize(text, set()).tokens
+    assert tokenize(text.upper(), set()) == tokenize(text, set())
 
 
 def test_stopword_soundness():
     stop = default_stopwords()
     result = tokenize("what is the role of brca1 in dna repair", stop)
-    assert not set(result.tokens) & stop
-    assert "brca1" in result.tokens
+    assert not set(result) & stop
+    assert "brca1" in result
 
 
-def test_from_tokens_roundtrip():
-    t = TokenizedText.from_tokens(["x", "y", "x"])
-    assert t.tf == {"x": 2, "y": 1}
+def test_public_names_resolve_once():
+    names = centroid_ir.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(centroid_ir, name)] == []
 
 
 def test_stopword_file(tmp_path):
@@ -101,8 +95,8 @@ class TestMatchesRegexOracle:
         for lo in range(0, 0x110000, 0x10000):
             block = " ".join(map(chr, range(lo, lo + 0x10000)))
             want = brute_tokenize(block)
-            assert tokenize(block).tokens == want
-            assert tokenize(block).tokens == want  # read back from the table
+            assert tokenize(block) == want
+            assert tokenize(block) == want  # read back from the table
         assert len(text._SEPARATORS) <= 0x10000
 
     def test_random_unicode_strings(self):
@@ -114,7 +108,7 @@ class TestMatchesRegexOracle:
         for _ in range(300):
             picks = rng.integers(len(ranges), size=rng.integers(0, 60))
             s = "".join(chr(int(rng.integers(*ranges[i]))) for i in picks)
-            assert tokenize(s, stop).tokens == brute_tokenize(s, stop)
+            assert tokenize(s, stop) == brute_tokenize(s, stop)
 
     @pytest.mark.parametrize("s, want", [
         ("\u0130stanbul", ["i", "stanbul"]),    # İ lowercases to i + a combining dot
@@ -128,13 +122,13 @@ class TestMatchesRegexOracle:
         ("a\ud800b", ["a", "b"]),               # a lone surrogate separates
     ])
     def test_named_cases(self, s, want):
-        assert tokenize(s).tokens == want
+        assert tokenize(s) == want
         assert brute_tokenize(s) == want
 
     def test_plain_set_of_stopwords(self):
         stop = {"the", "of", "stra\u00dfe"}
         s = "The role of STRASSE and Stra\u00dfe in the 3 cities"
-        assert tokenize(s, stop).tokens == brute_tokenize(s, stop) == [
+        assert tokenize(s, stop) == brute_tokenize(s, stop) == [
             "role", "strasse", "and", "in", "cities"]
 
 
