@@ -55,6 +55,9 @@ $CIR build-index \
     --out "$WORK/index.crvi"
 
 # -- our run: centidf + ann + rwmd_q rerank ------------------------------------
+# The index carries the IDF weights it was built with, so search reads no
+# IDF file: move it aside to show that.
+mv "$WORK/corpus.idf" "$WORK/corpus.idf.aside"
 $CIR search \
     --index "$WORK/index.crvi" --embeddings "$WORK/vectors.txt" \
     --questions "$WORK/questions.jsonl" --k 3 \

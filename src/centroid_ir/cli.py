@@ -1,6 +1,8 @@
 """Command-line entry point for batch retrieval experiments.
 
 Subcommands: build-index, search, rerank, hybrid, evaluate, idf.
+``build-index`` writes the index and, when it computes IDF, an IDF file;
+``search`` reads no IDF file, as a centidf index carries its weights.
 Options may also come from a ``key = value`` config file (``--config``),
 with command-line flags taking precedence.  Logs go to stderr, data to
 files or stdout.  Exit codes: 0 ok, 2 missing input, 3 data error,
@@ -10,15 +12,13 @@ files or stdout.  Exit codes: 0 ok, 2 missing input, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 
 from . import embeddings as emb
 from . import evaluation as ev
 from .corpus import iter_corpus, load_corpus
-from .errors import ConfigMismatch, EngineError, EvaluationError, ParseError
+from .errors import ConfigMismatch, EngineError, EvaluationError, ParseError, open_text
 from .index import (DEFAULT_LEAF_CAP, DEFAULT_SEED, DEFAULT_TREES,
                     load_index, save_index)
 from .retrieval import (DEFAULT_K, build_corpus_index, hybrid, load_questions,
@@ -35,7 +35,7 @@ def _log(message: str) -> None:
 def _read_config(path) -> dict[str, str]:
     """Parse a minimal key = value config file; '#' starts a comment."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -63,6 +63,7 @@ class _Command:
         self.parser = subparsers.add_parser(name, help=help_text)
         self.defaults: dict[str, object] = {}
         self.types: dict[str, object] = {}
+        self.choices: dict[str, list[str] | None] = {}
         self.parser.add_argument("--config", default=argparse.SUPPRESS,
                                  help="key = value config file; flags win")
 
@@ -79,18 +80,23 @@ class _Command:
                                      choices=choices, help=help)
             self.types[dest] = type
             self.defaults[dest] = default
+        self.choices[dest] = choices
         if required:
             self.defaults[dest] = _REQUIRED
         return self
 
     def resolve(self, args: argparse.Namespace) -> argparse.Namespace:
         given = vars(args)
-        config = _read_config(given["config"]) if "config" in given else {}
+        path = given.get("config")
+        config = _read_config(path) if path is not None else {}
         merged = dict(self.defaults)
         for key, raw in config.items():
             if key not in self.defaults:
-                raise ParseError(f"unknown config key {key!r}")
+                raise ParseError(f"unknown config key {key!r}", path=path)
             merged[key] = self.types[key](raw)
+            if self.choices[key] and merged[key] not in self.choices[key]:
+                raise ParseError(f"invalid {key} {raw!r} (choose from "
+                                 f"{', '.join(self.choices[key])})", path=path)
         for key, value in given.items():
             merged[key] = value
         missing = [k for k, v in merged.items() if v is _REQUIRED]
@@ -109,10 +115,6 @@ def _load_stopword_set(ns):
     return default_stopwords()
 
 
-def _meta_path(index_path) -> str:
-    return f"{index_path}.meta.json"
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -121,67 +123,43 @@ def cmd_build_index(ns) -> int:
     store = emb.load_embeddings(ns.embeddings)
     _log(f"load embeddings: {time.perf_counter() - t0:.3f} s")
     stopwords = _load_stopword_set(ns)
-    idf_file = ns.idf_file
-    if ns.mode == "centidf":
-        if idf_file:
-            store.set_idf(*emb.load_idf(idf_file))
-        elif not ns.compute_idf:
-            raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")
+    compute_idf = ns.mode == "centidf" and not ns.idf_file
+    if ns.mode == "centidf" and ns.idf_file:
+        store.set_idf(*emb.load_idf(ns.idf_file))
+    elif compute_idf and not ns.compute_idf:
+        raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")
     documents = list(iter_corpus(ns.corpus))
     index = build_corpus_index(documents, store, mode=ns.mode, stopwords=stopwords,
-                               compute_idf=(ns.mode == "centidf" and not idf_file
-                                            and ns.compute_idf))
+                               compute_idf=compute_idf)
     if ns.engine == "ann":
         index.build_forest(n_trees=ns.trees, leaf_cap=ns.leaf_cap, seed=ns.seed)
-    if ns.mode == "centidf" and not idf_file:
-        idf_file = ns.idf_out or f"{ns.out}.idf"
-        emb.save_idf(idf_file, store.idf, store.n_docs)
+    if compute_idf:
+        emb.save_idf(ns.idf_out or f"{ns.out}.idf", store.idf, store.n_docs)
     save_index(index, ns.out)
-    meta = {"idf_file": os.path.abspath(idf_file) if idf_file else None}
-    with open(_meta_path(ns.out), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
     elapsed = time.perf_counter() - t0
     _log(f"indexed {index.n_docs} documents (dim={index.dim}, trees={index.n_trees}) "
          f"in {elapsed:.2f} s")
     return 0
 
 
-def _load_index_with_meta(ns):
-    index = load_index(ns.index)
-    meta = {}
-    meta_path = _meta_path(ns.index)
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", path=meta_path) from None
-        if not (isinstance(meta, dict) and isinstance(meta.get("idf_file"), (str, type(None)))):
-            raise ParseError("expected a JSON object whose 'idf_file' is a string or null",
-                             path=meta_path)
-    return index, meta
-
-
 def cmd_search(ns) -> int:
     if ns.corpus:
         _log(f"ignoring --corpus {ns.corpus}: reranking reads document rows from the index")
     t0 = time.perf_counter()
-    index, meta = _load_index_with_meta(ns)
+    index = load_index(ns.index)
     if ns.rerank != "none" and index.rows is None:
         raise ConfigMismatch(f"{ns.index} carries no document rows to rerank by; rebuild it "
                              "with build-index, or rerank the run with the rerank command")
     mode = ns.mode or index.mode
     if mode is None:
         raise ConfigMismatch("index records no centroid mode; pass --mode")
+    if mode == "centidf" and index.idf_rows is None:
+        raise ConfigMismatch(f"{ns.index} carries no IDF weights to search by centidf; "
+                             "rebuild it with build-index")
     engine = ns.engine or ("ann" if index.n_trees else "exact")
     store = emb.load_embeddings(ns.embeddings)
     if mode == "centidf":
-        idf_file = ns.idf_file or meta.get("idf_file")
-        if not idf_file:
-            raise ConfigMismatch("centidf search needs --idf-file (none recorded "
-                                 "alongside the index)")
-        store.set_idf(*emb.load_idf(idf_file))
+        store.set_idf_rows(index.idf_rows)
     stopwords = _load_stopword_set(ns)
     questions = load_questions(ns.questions)
     t_load = time.perf_counter() - t0
@@ -289,7 +267,6 @@ def _build_parser():
     c.opt("--rerank", default="none", choices=["none", *sorted(SCORERS)])
     c.opt("--rerank-depth", type=int, help="rerank only the top so-many documents")
     c.opt("--corpus", help="ignored: reranking reads document rows from the index")
-    c.opt("--idf-file", help="IDF file for centidf (default: recorded with index)")
     c.opt("--stopwords")
     commands["search"] = (c, cmd_search)
 

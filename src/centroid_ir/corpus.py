@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DuplicateId, ParseError
+from .errors import DuplicateId, ParseError, open_text
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def record_id(obj: dict, line_no: int, path) -> str:
 
 def _json_lines(path) -> Iterator[tuple[int, object]]:
     """``(line_no, value)`` for each non-blank line of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -13,7 +13,8 @@ ln(n_docs), the value a df = 1 token would get.
 
 The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
 too; ``idf_rows`` is the float64 vector over vocabulary rows that the
-centroid arithmetic reads.  :meth:`EmbeddingStore.rows_many` maps tokens to
+centroid arithmetic reads and a ``centidf`` index keeps (``set_idf_rows``
+attaches it alone).  :meth:`EmbeddingStore.rows_many` maps tokens to
 rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus.
 :meth:`EmbeddingStore.fingerprint` identifies the vectors, and optionally
 the IDF scores, that an index was built from.
@@ -31,7 +32,7 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, open_text
 
 
 class EmbeddingStore:
@@ -98,14 +99,23 @@ class EmbeddingStore:
 
     def set_idf(self, idf: dict[str, float], n_docs: int) -> None:
         """Attach an IDF table over ``n_docs`` documents and its row vector."""
-        self.idf = dict(idf)
-        self.n_docs = int(n_docs)
-        default = math.log(self.n_docs) if self.n_docs else 0.0
+        idf, n_docs = dict(idf), int(n_docs)
+        default = math.log(n_docs) if n_docs else 0.0
         n = len(self.vocab)
-        self.idf_rows = np.empty(n)
-        self.idf_rows[np.fromiter(self.vocab.values(), np.intp, count=n)] = np.fromiter(
-            map(self.idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
-        self._idf_digest = hashlib.sha256(np.ascontiguousarray(self.idf_rows, "<f8")).digest()
+        idf_rows = np.empty(n)
+        idf_rows[np.fromiter(self.vocab.values(), np.intp, count=n)] = np.fromiter(
+            map(idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
+        self.set_idf_rows(idf_rows)
+        self.idf, self.n_docs = idf, n_docs
+
+    def set_idf_rows(self, idf_rows) -> None:
+        """Attach IDF weights, one float64 per vocabulary row, without a token
+        table: ``idf`` and ``n_docs`` become None."""
+        idf_rows = np.ascontiguousarray(idf_rows, dtype=np.float64)
+        if idf_rows.shape != (len(self.vocab),):
+            raise ValueError(f"IDF weights of shape {idf_rows.shape} for {len(self)} rows")
+        self.idf_rows, self.idf, self.n_docs = idf_rows, None, None
+        self._idf_digest = hashlib.sha256(np.ascontiguousarray(idf_rows, "<f8")).digest()
 
     @cached_property
     def _digest(self) -> bytes:
@@ -193,7 +203,7 @@ def load_embeddings(path) -> EmbeddingStore:
             yield parts[1]
 
     matrix = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         rows = remainders(fh)
         try:
             first = next(rows, None)
@@ -220,7 +230,7 @@ def load_embeddings(path) -> EmbeddingStore:
 def _raise_first_bad_line(path) -> NoReturn:
     """Scan an embedding file numpy rejected and raise for its first bad line."""
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -277,7 +287,7 @@ def load_idf(path) -> tuple[dict[str, float], int]:
     """
     idf: dict[str, float] = {}
     n_docs: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

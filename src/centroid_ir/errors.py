@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text opener."""
+
+from contextlib import contextmanager
 
 
 class EngineError(Exception):
@@ -59,3 +61,15 @@ class StateError(EngineError):
 
 class EvaluationError(EngineError):
     """A run and a qrels set share no question ids."""
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` as UTF-8 text; other bytes raise :class:`ParseError` naming
+    the file, not a line (the codec's offset is into a chunk, not the file)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                             f"({exc.reason})", path=path) from None

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError, ParseError, open_text
 from .runs import RankedRun
 
 RECALL_LEVELS = tuple(i / 10.0 for i in range(11))
@@ -43,7 +43,7 @@ DEFAULT_NDCG_K = (20, 100)
 def read_qrels(path) -> dict[str, set[str]]:
     """Parse TREC qrels: ``qid 0 doc_id rel`` with binary rel; rel=0 ignored."""
     qrels: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

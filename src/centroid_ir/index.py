@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateId, IndexFormatError, StateError
 
 MAGIC = b"CRVI"
-VERSION = 3
+VERSION = 4
 _FINGERPRINT_BYTES = 32
 
 MODES = ("cent", "centidf")
@@ -111,7 +111,8 @@ class CentroidIndex:
     rows: document i's are ``rows[bounds[i]:bounds[i + 1]]``, rows of a
     vocabulary of ``vocab_size`` words, and ``fingerprint`` is the
     :meth:`EmbeddingStore.fingerprint` of the store they index.  The four
-    come together or not at all.
+    come together or not at all.  In mode "centidf" they come with
+    ``idf_rows``, the store's float64 IDF weight per vocabulary row.
 
     The constructor checks every invariant of an index, raising
     :class:`DuplicateId` for a repeated id and ``ValueError`` otherwise.
@@ -120,7 +121,8 @@ class CentroidIndex:
     def __init__(self, doc_ids, unit_matrix: np.ndarray, forest: list[Tree] | None = None,
                  leaf_cap: int = DEFAULT_LEAF_CAP, seed: int = DEFAULT_SEED,
                  mode: str | None = None, rows=None, bounds=None,
-                 vocab_size: int | None = None, fingerprint: bytes | None = None):
+                 vocab_size: int | None = None, fingerprint: bytes | None = None,
+                 idf_rows=None):
         self.doc_ids = np.asarray(doc_ids, dtype=np.str_)
         self.unit_matrix = np.ascontiguousarray(unit_matrix, dtype=np.float32)
         if (self.doc_ids.ndim != 1 or self.unit_matrix.ndim != 2
@@ -147,6 +149,7 @@ class CentroidIndex:
         self.bounds: np.ndarray | None = None
         self.vocab_size: int | None = None
         self.fingerprint: bytes | None = None
+        self.idf_rows: np.ndarray | None = None
         parts = (rows, bounds, vocab_size, fingerprint)
         if any(part is not None for part in parts):
             if any(part is None for part in parts):
@@ -157,6 +160,14 @@ class CentroidIndex:
             self.fingerprint = bytes(fingerprint)
             if len(self.fingerprint) != _FINGERPRINT_BYTES:
                 raise ValueError(f"store fingerprint must be {_FINGERPRINT_BYTES} bytes")
+        if (idf_rows is not None) != (self.rows is not None and mode == "centidf"):
+            raise ValueError("IDF weights come with document rows in mode centidf, and only then")
+        if idf_rows is not None:
+            self.idf_rows = np.ascontiguousarray(idf_rows, dtype=np.float64)
+            if self.idf_rows.shape != (self.vocab_size,):
+                raise ValueError(f"IDF weights must be {self.vocab_size} values, one per row")
+            if not (np.isfinite(self.idf_rows).all() and (self.idf_rows >= 0.0).all()):
+                raise ValueError("IDF weight negative or not finite")
         self._scratch = threading.local()
 
     # -- construction -----------------------------------------------------
@@ -171,8 +182,8 @@ class CentroidIndex:
         float32; a row whose norm exceeds float32's range (one holding
         ``inf``, say) raises ``ValueError``.  The constructor rejects
         everything else that is invalid, such as a NaN.  ``doc_rows``
-        passes ``rows``, ``bounds``, ``vocab_size`` and ``fingerprint``
-        on to the constructor.
+        passes ``rows``, ``bounds``, ``vocab_size``, ``fingerprint`` and
+        ``idf_rows`` on to the constructor.
         """
         with np.errstate(over="ignore"):
             matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -496,7 +507,7 @@ def _build_tree(X: np.ndarray, tree_id: int, seed: int, leaf_cap: int) -> Tree:
 
 # -- persistence -----------------------------------------------------------
 #
-# Little-endian throughout.  _HEADER: magic, version (3), dim, n_trees,
+# Little-endian throughout.  _HEADER: magic, version (4), dim, n_trees,
 # n_docs, leaf_cap, mode code, seed, CRC32 of the body, then a flag that
 # is 1 when the index carries document rows, the vocabulary size and the
 # number of document rows (both 0 without rows).  The body is a run of
@@ -505,7 +516,8 @@ def _build_tree(X: np.ndarray, tree_id: int, seed: int, leaf_cap: int) -> Tree:
 # int64 [root, n_internal, n_leaves] followed by normals, offsets,
 # children, leaf_bounds and leaf_items exactly as :class:`Tree` holds them;
 # with the flag set, it ends with the int32 document rows, their int64
-# bounds (n_docs + 1) and the 32-byte store fingerprint.
+# bounds (n_docs + 1) and the 32-byte store fingerprint, followed in
+# mode centidf by the float64 IDF weights (one per vocabulary row).
 
 _HEADER = struct.Struct("<4sIIIQIIQIIQQ")
 
@@ -528,6 +540,8 @@ def save_index(index: CentroidIndex, path) -> None:
     if has_rows:
         sections += [(index.rows, "<i4"), (index.bounds, "<i8"),
                      (np.frombuffer(index.fingerprint, dtype=np.uint8), "u1")]
+    if index.idf_rows is not None:
+        sections.append((index.idf_rows, "<f8"))
     chunks = []
     for values, dtype in sections:
         raw = np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
@@ -547,7 +561,7 @@ def save_index(index: CentroidIndex, path) -> None:
 def load_index(path) -> CentroidIndex:
     """Read and validate an index file written by :func:`save_index`.
 
-    The file is read once; the matrix, tree and row arrays are read-only
+    The file is read once; the matrix, tree, row and IDF arrays are read-only
     views of that buffer.  Any inconsistency raises :class:`IndexFormatError`.
     """
     with open(path, "rb") as fh:
@@ -606,6 +620,8 @@ def load_index(path) -> CentroidIndex:
         doc_rows = {"rows": take("<i4", n_rows), "bounds": take("<i8", n_docs + 1),
                     "fingerprint": take("u1", _FINGERPRINT_BYTES).tobytes(),
                     "vocab_size": vocab_size}
+        if _MODE_CODES[mode_code] == "centidf":
+            doc_rows["idf_rows"] = take("<f8", vocab_size)
     if pos < len(data):
         raise bad(f"{len(data) - pos} trailing bytes after the last section")
     if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:

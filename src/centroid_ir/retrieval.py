@@ -272,19 +272,25 @@ def build_corpus_index(
     With ``compute_idf`` the store's IDF table is (re)computed from this
     corpus before the centroids are taken; otherwise the store must
     already carry IDF scores when mode is "centidf".  The index keeps the
-    documents' vocabulary rows and the store's fingerprint, so that
-    :func:`rerank` needs no text and a different store is caught.
+    documents' vocabulary rows, the store's fingerprint and, in mode
+    "centidf", its ``idf_rows``, so that :func:`rerank` needs no text, a
+    search no IDF file, and a different store is caught.
     """
     _check_mode(mode)  # before any work
     if stopwords is None:
         stopwords = default_stopwords()
+    centidf = mode == "centidf"
     records = list(documents)
     tokenized = [tokenize(record.text, stopwords) for record in records]
     if compute_idf:
         store.compute_idf(tokenized)
     rows, bounds = store.rows_many(tokenized)
     del tokenized  # the token lists are not needed for the centroids
-    matrix = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"))
+    matrix = centroid_matrix(rows, bounds, store, idf=centidf)
+    ids = [record.id for record in records]
+    if centidf and store.idf_rows is None:  # an empty corpus, read without IDF
+        return CentroidIndex.from_matrix(ids, matrix, mode=mode)
     return CentroidIndex.from_matrix(
-        [record.id for record in records], matrix, mode=mode, rows=rows, bounds=bounds,
-        vocab_size=len(store), fingerprint=store.fingerprint(idf=(mode == "centidf")))
+        ids, matrix, mode=mode, rows=rows, bounds=bounds, vocab_size=len(store),
+        fingerprint=store.fingerprint(idf=centidf),
+        idf_rows=store.idf_rows if centidf else None)

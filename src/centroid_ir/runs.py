@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, open_text
 
 
 @dataclass
@@ -49,7 +49,7 @@ def read_run(path, tag: str | None = None) -> RankedRun:
     ranked: dict[str, list[tuple[int, int, str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     file_tag = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

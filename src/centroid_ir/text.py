@@ -20,6 +20,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
+from .errors import open_text
+
 
 class _SeparatorTable(dict):
     """Code point -> itself for letters and digits, -> a space otherwise.
@@ -60,7 +62,7 @@ def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file: UTF-8, one token per line, ``#`` comments."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _parse_stopwords(fh)
 
 

@@ -1,9 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from centroid_ir.cli import _build_parser, main
+from centroid_ir.embeddings import load_embeddings, load_idf
 from centroid_ir.index import CentroidIndex, load_index, save_index
 
 
@@ -51,10 +53,26 @@ class TestBuildIndex:
         index = load_index(workspace / "index.crvi")
         assert index.n_docs == 3
         assert index.n_trees == 4
-        assert (workspace / "index.crvi.idf").exists()
         assert index.mode == "centidf"
-        meta = json.loads((workspace / "index.crvi.meta.json").read_text())
-        assert meta == {"idf_file": str(workspace / "index.crvi.idf")}
+        written = sorted(p.name for p in workspace.iterdir() if p.name.startswith("index"))
+        assert written == ["index.crvi", "index.crvi.idf"]
+
+    def test_index_carries_idf_weights(self, workspace, tmp_path):
+        # Bit for bit the weights of the IDF file written beside the
+        # index, and again after another save and load.
+        assert build(workspace) == 0
+        index = load_index(workspace / "index.crvi")
+        store = load_embeddings(workspace / "vectors.txt")
+        store.set_idf(*load_idf(workspace / "index.crvi.idf"))
+        assert index.idf_rows.dtype == np.float64
+        assert index.idf_rows.tobytes() == store.idf_rows.tobytes()
+        save_index(index, tmp_path / "again.crvi")
+        assert load_index(tmp_path / "again.crvi").idf_rows.tobytes() == store.idf_rows.tobytes()
+
+    def test_cent_index_has_no_idf(self, workspace):
+        assert build(workspace, "cent.crvi", "--mode", "cent") == 0
+        assert load_index(workspace / "cent.crvi").idf_rows is None
+        assert not (workspace / "cent.crvi.idf").exists()
 
     def test_logs_embedding_load_time(self, workspace, capsys):
         assert build(workspace) == 0
@@ -130,6 +148,33 @@ class TestSearch:
         assert main([command, "--config", str(config)]) == 3
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
+    def test_no_idf_file_option(self, tmp_path, capsys):
+        _, commands = _build_parser()
+        assert "--idf-file" not in commands["search"][0].parser.format_help()
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--idf-file", "x.idf"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --idf-file" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("idf_file = x.idf\n")
+        assert main(["search", "--config", str(config)]) == 3
+        assert "unknown config key 'idf_file'" in capsys.readouterr().err
+
+    def test_searches_without_idf_file(self, workspace):
+        build(workspace)
+        assert self.search(workspace, "before.txt") == 0
+        (workspace / "index.crvi.idf").unlink()
+        assert self.search(workspace, "after.txt") == 0
+        assert (workspace / "after.txt").read_bytes() == (workspace / "before.txt").read_bytes()
+
+    def test_centidf_needs_index_idf(self, workspace, capsys):
+        ids = ["d1", "d2", "d3"]
+        save_index(CentroidIndex.from_matrix(ids, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                                             mode="centidf"), workspace / "index.crvi")
+        assert self.search(workspace) == 3
+        assert "no IDF weights" in capsys.readouterr().err
+        assert not (workspace / "run.txt").exists()
+
     def test_stopword_question_absent_from_body(self, workspace):
         build(workspace)
         self.search(workspace)
@@ -197,8 +242,8 @@ class TestSearch:
         assert (workspace / "one.txt").read_bytes() == (workspace / "two.txt").read_bytes()
 
     def test_searches_from_another_directory(self, workspace, monkeypatch):
-        # The sidecar records the IDF file's absolute path, not the
-        # relative one build-index was given.
+        # The index carries its IDF weights, so search needs nothing that
+        # build-index wrote beside it, wherever either runs from.
         for name in ("a", "b"):
             (workspace / name).mkdir()
         monkeypatch.chdir(workspace / "a")
@@ -208,16 +253,6 @@ class TestSearch:
         assert main(["search", "--index", "../a/idx.bin", "--embeddings", "../vectors.txt",
                      "--questions", "../questions.jsonl", "--out", "run.txt"]) == 0
         assert (workspace / "b" / "run.txt").read_text().startswith("q1 Q0 d1 1 ")
-
-    @pytest.mark.parametrize("sidecar", ["[]", '{"idf_file": 12345}', "{not json"])
-    def test_bad_sidecar_exit_3(self, workspace, capsys, sidecar):
-        build(workspace)
-        meta = workspace / "index.crvi.meta.json"
-        meta.write_text(sidecar)
-        capsys.readouterr()
-        assert self.search(workspace) == 3
-        assert f"error: {meta}: " in capsys.readouterr().err
-        assert not (workspace / "run.txt").exists()
 
     def test_unreadable_index_exit_2(self, workspace):
         code = main(["search", "--index", str(workspace / "absent.crvi"),
@@ -258,15 +293,17 @@ class TestStoreFingerprint:
         build(workspace)
         self.refused(workspace, capsys, "b.txt")
 
-    def test_other_idf_file(self, workspace, capsys):
+    def test_changed_idf_weight(self, workspace, capsys):
+        # One stored weight changed, saved again with a valid checksum: the
+        # index's weights no longer match its own fingerprint.
         build(workspace)
-        lines = (workspace / "index.crvi.idf").read_text().splitlines()
-        other = workspace / "other.idf"
-        other.write_text("\n".join(line.split("\t")[0] + "\t2.5" if line.startswith("kinase")
-                                    else line for line in lines) + "\n")
-        self.refused(workspace, capsys, "vectors.txt", "--idf-file", str(other))
-        assert self.search(workspace, "vectors.txt",
-                           "--idf-file", str(workspace / "index.crvi.idf")) == 0
+        index = load_index(workspace / "index.crvi")
+        changed = index.idf_rows.copy()
+        changed[1] = 2.5  # kinase's row
+        index.idf_rows = changed
+        save_index(index, workspace / "index.crvi")
+        load_index(workspace / "index.crvi")
+        self.refused(workspace, capsys)
 
     def test_cent_index_ignores_idf(self, workspace):
         build(workspace, "index.crvi", "--mode", "cent")
@@ -390,6 +427,17 @@ class TestConfigFile:
         index = load_index(workspace / "cfg.crvi")
         assert index.n_trees == 3  # flag beats config
         assert index.seed == 9    # config beats default
+
+    def test_value_outside_choices_exit_3(self, workspace, capsys):
+        config = workspace / "run.conf"
+        config.write_text("engine = fast\n")
+        code = main(["build-index", "--config", str(config),
+                     "--embeddings", str(workspace / "vectors.txt"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "x.crvi"), "--compute-idf"])
+        assert code == 3
+        assert f"error: {config}: invalid engine 'fast'" in capsys.readouterr().err
+        assert not (workspace / "x.crvi").exists()
 
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "run.conf"

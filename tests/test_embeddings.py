@@ -258,6 +258,20 @@ class TestFingerprint:
         store.set_idf({"a": 1.0, "b": 0.5, "c": math.log(3)}, 3)
         assert store.fingerprint(idf=True) == with_idf
 
+    def test_idf_rows_attached_alone(self):
+        # The weights alone give the fingerprint set_idf gives; the token
+        # table they were made from is cleared.
+        store = self.store()
+        store.set_idf({"a": 1.0, "b": 0.5}, 3)
+        other = self.store()
+        other.set_idf_rows(store.idf_rows.copy())
+        assert other.fingerprint(idf=True) == store.fingerprint(idf=True)
+        assert other.idf is None and other.n_docs is None
+        other.set_idf_rows(np.ones(3))
+        assert other.fingerprint(idf=True) != store.fingerprint(idf=True)
+        with pytest.raises(ValueError, match=r"shape \(2,\) for 3 rows"):
+            other.set_idf_rows(np.ones(2))
+
     def test_vocabulary_and_matrix_hashed_once(self, monkeypatch):
         store = self.store()
         first = store.fingerprint(idf=False)

@@ -210,6 +210,32 @@ class TestDocumentRows:
                                           vocab_size=0, fingerprint=bytes(32))
         assert index.rows.size == 0 and index.bounds.tolist() == [0, 0, 0]
 
+    def test_idf_weights_kept(self):
+        parts = doc_rows(np.random.default_rng(60), 3, vocab_size=5)
+        weights = [0.0, 0.5, 1.0, 2.0, 0.25]
+        index = CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), mode="centidf",
+                                          idf_rows=weights, **parts)
+        assert index.idf_rows.dtype == np.float64 and index.idf_rows.tolist() == weights
+        cent = CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), mode="cent", **parts)
+        assert cent.idf_rows is None
+
+    @pytest.mark.parametrize("mode, rows, weights, message", [
+        ("centidf", True, None, "come with document rows in mode centidf"),
+        ("centidf", True, [1.0] * 4, "must be 5 values"),
+        ("centidf", True, [[1.0] * 5], "must be 5 values"),
+        ("centidf", True, [1.0, np.nan, 1.0, 1.0, 1.0], "not finite"),
+        ("centidf", True, [1.0, np.inf, 1.0, 1.0, 1.0], "not finite"),
+        ("centidf", True, [1.0, -0.5, 1.0, 1.0, 1.0], "negative"),
+        ("cent", True, [1.0] * 5, "and only then"),
+        (None, True, [1.0] * 5, "and only then"),
+        ("centidf", False, [1.0] * 5, "and only then"),
+    ])
+    def test_idf_weights_rejected(self, mode, rows, weights, message):
+        parts = doc_rows(np.random.default_rng(61), 3, vocab_size=5) if rows else {}
+        with pytest.raises(ValueError, match=message):
+            CentroidIndex.from_matrix(["a", "b", "c"], np.eye(3), mode=mode,
+                                      idf_rows=weights, **parts)
+
 
 class TestExactTopk:
     def test_hand_example(self):
@@ -776,8 +802,38 @@ class TestPersistence:
         assert loaded.vocab_size == index.vocab_size
         assert not loaded.rows.flags.writeable
 
+    @pytest.mark.parametrize("with_forest", [False, True])
+    def test_idf_rows_roundtrip(self, tmp_path, with_forest):
+        rng = np.random.default_rng(62)
+        weights = rng.uniform(0.0, 5.0, 40)
+        index, _ = gaussian_index(rng, 200, 5, mode="centidf", idf_rows=weights,
+                                  **doc_rows(rng, 200))
+        if with_forest:
+            index.build_forest(n_trees=3, leaf_cap=8, seed=5)
+        saved = saved_bytes(index, tmp_path / "x.crvi")
+        loaded = load_index(tmp_path / "x.crvi")
+        assert saved_bytes(loaded, tmp_path / "again.crvi") == saved
+        assert loaded.idf_rows.tobytes() == weights.tobytes()
+        assert not loaded.idf_rows.flags.writeable
+        # The weights are the last section, 8 bytes each.
+        assert saved.endswith(weights.astype("<f8").tobytes())
+
+    def test_v3_file_rejected(self, tmp_path):
+        # A v3 centidf index is the v4 one without its IDF section.
+        rng = np.random.default_rng(63)
+        index, _ = gaussian_index(rng, 10, 3, mode="centidf", idf_rows=np.ones(40),
+                                  **doc_rows(rng, 10))
+        blob = saved_bytes(index, tmp_path / "x.crvi")
+        body = blob[64:-8 * 40]
+        header = bytearray(blob[:64])
+        header[4:8] = (3).to_bytes(4, "little")  # the header's version
+        header[40:44] = zlib.crc32(body).to_bytes(4, "little")  # and its CRC32
+        (tmp_path / "x.crvi").write_bytes(bytes(header) + body)
+        with pytest.raises(IndexFormatError, match="unsupported version 3"):
+            load_index(tmp_path / "x.crvi")
+
     def test_v2_file_rejected(self, tmp_path):
-        # The v3 body of an index without document rows is the v2 body;
+        # The v4 body of an index without document rows is the v2 body;
         # only the header differs.
         index = CentroidIndex.from_matrix(["a", "b"], np.eye(2), mode="cent")
         path = tmp_path / "x.crvi"
@@ -934,6 +990,22 @@ class TestCorruptIndex:
             index.bounds = index.bounds[:-1]
         with pytest.raises(IndexFormatError, match="truncated"):
             load_index(self.saved(tmp_path, damage))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda w: np.where(np.arange(w.size) == 3, np.nan, w), "negative or not finite"),
+        (lambda w: np.where(np.arange(w.size) == 3, -0.5, w), "negative or not finite"),
+        (lambda w: w[:-1], "truncated"),
+        (lambda w: np.append(w, 1.0), "trailing"),
+    ])
+    def test_damaged_idf_weights(self, tmp_path, damage, message):
+        rng = np.random.default_rng(64)
+        index, _ = gaussian_index(rng, 100, 6, mode="centidf", idf_rows=np.ones(40),
+                                  **doc_rows(rng, 100))
+        index.idf_rows = damage(index.idf_rows)
+        path = tmp_path / "x.crvi"
+        save_index(index, path)
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
 
     def test_row_fields_without_rows(self, tmp_path):
         path = tmp_path / "x.crvi"

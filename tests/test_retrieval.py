@@ -596,6 +596,8 @@ class TestBuildCorpusIndex:
         index = build_corpus_index([], store, mode="centidf", stopwords=STOP)
         assert index.n_docs == 0
         assert index.unit_matrix.shape == (0, 2)
+        # With no IDF weights to keep, it keeps no document rows either.
+        assert index.rows is None and index.idf_rows is None
 
     def test_empty_corpus_keeps_store_dim(self):
         store = make_store({"alpha": [1.0, 0.0, 0.0]})

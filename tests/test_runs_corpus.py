@@ -3,8 +3,10 @@ import json
 import pytest
 
 from centroid_ir import (DuplicateId, ParseError, Question, RankedRun,
-                         iter_corpus, load_corpus, load_questions, read_run,
+                         iter_corpus, load_corpus, load_embeddings, load_idf,
+                         load_questions, load_stopwords, read_qrels, read_run,
                          write_run)
+from centroid_ir.cli import _read_config
 
 
 class TestRunFiles:
@@ -193,3 +195,19 @@ class TestQuestions:
                                                {"id": value, "text": "a"}])
         with pytest.raises(ParseError, match=f"line 2: {message}"):
             load_questions(path)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda path: list(iter_corpus(path)), load_corpus, load_questions, read_run, read_qrels,
+    load_idf, load_stopwords, _read_config, load_embeddings,
+], ids=["corpus", "corpus-map", "questions", "run", "qrels", "idf", "stopwords", "config",
+        "embeddings"])
+def test_undecodable_input_names_the_file(tmp_path, reader):
+    # Valid lines, then a byte that cannot start a UTF-8 sequence.  The
+    # codec's offset is into the chunk it decoded, so no line is given.
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"a 0.5 0.5\n" * 3 + b"\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as exc:
+        reader(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert exc.value.line_no is None
