@@ -93,7 +93,10 @@ class _Command:
         for key, raw in config.items():
             if key not in self.defaults:
                 raise ParseError(f"unknown config key {key!r}", path=path)
-            merged[key] = self.types[key](raw)
+            try:
+                merged[key] = self.types[key](raw)
+            except ValueError as exc:
+                raise ParseError(f"invalid {key} {raw!r}: {exc}", path=path) from None
             if self.choices[key] and merged[key] not in self.choices[key]:
                 raise ParseError(f"invalid {key} {raw!r} (choose from "
                                  f"{', '.join(self.choices[key])})", path=path)

@@ -14,10 +14,14 @@ ln(n_docs), the value a df = 1 token would get.
 The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
 too; ``idf_rows`` is the float64 vector over vocabulary rows that the
 centroid arithmetic reads and a ``centidf`` index keeps (``set_idf_rows``
-attaches it alone).  :meth:`EmbeddingStore.rows_many` maps tokens to
-rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus.
-:meth:`EmbeddingStore.fingerprint` identifies the vectors, and optionally
-the IDF scores, that an index was built from.
+attaches it alone).  :meth:`EmbeddingStore.rows_many` maps token lists to
+rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus, and
+:meth:`EmbeddingStore.text_rows` maps raw texts the same way, as
+:func:`~centroid_ir.text.tokenize` would filter them, with one dictionary
+lookup per word.  ``row_sq_norms`` holds every row's squared norm in
+float64 for the RWMD kernel.  :meth:`EmbeddingStore.fingerprint`
+identifies the vectors, and optionally the IDF scores, that an index was
+built from.
 """
 
 from __future__ import annotations
@@ -28,11 +32,17 @@ import math
 import struct
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NoReturn
+from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, open_text
+from .text import kept, words
+
+# Rows per float64 copy in ``row_sq_norms``.  Kept small: the norms are
+# computed inside the first rerank, beside its other buffers, and a larger
+# copy raised the benchmark's peak memory.
+_NORM_CHUNK = 256
 
 
 class EmbeddingStore:
@@ -40,7 +50,8 @@ class EmbeddingStore:
 
     ``vocab`` maps each word to its matrix row, and the rows are
     0..V-1, each once, so a row identifies its word.  The vocabulary and
-    the matrix must not change once :meth:`fingerprint` has been called.
+    the matrix must not change once :meth:`fingerprint` or
+    :attr:`row_sq_norms` has been read.
     """
 
     def __init__(
@@ -84,18 +95,30 @@ class EmbeddingStore:
         has one entry more than there are texts and starts at 0.  The
         texts are read once, so a generator need not hold them all.
         """
-        lengths = [0]
+        return _map_rows(self.vocab, texts)
 
-        def token_lists():
-            for tokens in texts:
-                lengths.append(len(tokens))
-                yield tokens
+    def text_rows(self, texts: Iterable[str],
+                  stopwords: frozenset[str] | set[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``rows_many(tokenize(text, stopwords) for text in texts)``, with
+        one dictionary lookup per word: the vocabulary minus the words
+        :func:`~centroid_ir.text.kept` drops is built once per call, in
+        O(V), so a dropped word maps like an out-of-vocabulary one."""
+        vocab = self.vocab
+        lookup = {word: vocab[word] for word in kept(vocab, stopwords)}
+        return _map_rows(lookup, map(words, texts))
 
-        tokens = itertools.chain.from_iterable(token_lists())
-        found = np.fromiter(map(self.vocab.get, tokens, itertools.repeat(-1)), np.intp)
-        oov = np.flatnonzero(found < 0)
-        bounds = np.cumsum(lengths, dtype=np.intp)
-        return np.delete(found, oov), bounds - np.searchsorted(oov, bounds)
+    @cached_property
+    def row_sq_norms(self) -> np.ndarray:
+        """Every row's squared Euclidean norm in float64, bit for bit as
+        ``np.einsum("ij,ij->i", m, m)`` gives it for float64 rows ``m``.
+
+        Computed on first use, a chunk of rows at a time.
+        """
+        out = np.empty(len(self))
+        for lo in range(0, len(self), _NORM_CHUNK):
+            chunk = self.matrix[lo:lo + _NORM_CHUNK].astype(np.float64)
+            out[lo:lo + _NORM_CHUNK] = np.einsum("ij,ij->i", chunk, chunk)
+        return out
 
     def set_idf(self, idf: dict[str, float], n_docs: int) -> None:
         """Attach an IDF table over ``n_docs`` documents and its row vector."""
@@ -147,6 +170,24 @@ class EmbeddingStore:
         idf, n_docs = compute_idf(docs)
         self.set_idf(idf, n_docs)
         return idf
+
+
+def _map_rows(lookup: Mapping[str, int],
+              texts: Iterable[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``lookup`` gives every token of every text, concatenated,
+    with tokens it lacks dropped, and the texts' bounds in that array."""
+    lengths = [0]
+
+    def token_lists():
+        for tokens in texts:
+            lengths.append(len(tokens))
+            yield tokens
+
+    tokens = itertools.chain.from_iterable(token_lists())
+    found = np.fromiter(map(lookup.get, tokens, itertools.repeat(-1)), np.intp)
+    missing = np.flatnonzero(found < 0)
+    bounds = np.cumsum(lengths, dtype=np.intp)
+    return np.delete(found, missing), bounds - np.searchsorted(missing, bounds)
 
 
 def compute_idf(docs: Iterable[list[str]]) -> tuple[dict[str, float], int]:

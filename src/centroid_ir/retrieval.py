@@ -8,15 +8,18 @@ The building blocks compose into the named systems:
   (rwmd_q / rwmd_d / rwmd_max), e.g. centidf + rwmd_q reranking, or an
   imported external baseline run + rwmd_q.  Document words come from an
   index built from the corpus, which keeps its documents' vocabulary
-  rows, or from the corpus records, tokenized again.
+  rows, or from the corpus records, mapped to rows again.
 * ``hybrid`` combines two runs: a question falls back to the second
   run's list exactly when the first run returned nothing for it.
 
-Each of ``retrieve`` and ``rerank`` maps all its questions to vocabulary
-rows in one call, then answers them one after another on the calling
-thread; exact scoring's parallelism is the BLAS library's own.  Both
-raise :class:`ConfigMismatch` when the embeddings or IDF scores differ
-from those an index was built with.
+Each of ``retrieve`` and ``rerank`` maps all its question texts to
+vocabulary rows in one :meth:`EmbeddingStore.text_rows` call, which
+filters the vocabulary by the tokenizer's rule once instead of each
+word, then answers the questions one after another on the calling
+thread; exact scoring's parallelism is the BLAS library's own.  Only
+:func:`build_corpus_index` runs :func:`tokenize`, because IDF counts
+out-of-vocabulary tokens too.  Both raise :class:`ConfigMismatch` when
+the embeddings or IDF scores differ from those an index was built with.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
 from .index import MODES, CentroidIndex
 from .runs import RankedRun
-from .rwmd import SCORERS, embed_rows, embed_text, rwmd_many  # noqa: F401
+from .rwmd import SCORERS, EmbeddedText, embed_text, rwmd_many  # noqa: F401
 from .text import default_stopwords, tokenize
 
 DEFAULT_K = 1000
@@ -91,14 +94,15 @@ def retrieve(
     stopwords: frozenset[str] | None = None,
     threads: int = 1,
 ) -> RankedRun:
-    """Tokenize the questions, take their centroids, and fetch each one's top k.
+    """Map the questions to vocabulary rows, take their centroids, and
+    fetch each one's top k.
 
-    All questions are mapped to vocabulary rows in one call, and each
-    centroid is taken from its slice as :func:`centroid_idf` or
-    :func:`centroid_simple` takes it, bit for bit.  A question whose
-    centroid is zero (all tokens out of vocabulary or stop words) gets an
-    empty list rather than an arbitrary ranking.  ``k`` and ``search_k``
-    must be at least 1.  Raises :class:`DuplicateId` for a repeated
+    All questions are mapped to the rows of their tokens in one call
+    (:meth:`EmbeddingStore.text_rows`), and each centroid is taken from
+    its slice as :func:`centroid_idf` or :func:`centroid_simple` takes
+    it, bit for bit.  A question whose centroid is zero (all tokens out
+    of vocabulary or stop words) gets an empty list rather than an
+    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.  Raises :class:`DuplicateId` for a repeated
     question id, and :class:`ConfigMismatch` when the index records a
     centroid mode other than the one requested or a store fingerprint
     that ``store`` does not match; in mode "centidf", a store without IDF
@@ -122,7 +126,7 @@ def retrieve(
         stopwords = default_stopwords()
     texts = _question_texts(questions)
 
-    rows, bounds = store.rows_many(tokenize(text, stopwords) for text in texts.values())
+    rows, bounds = store.text_rows(texts.values(), stopwords)
     centroids = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"), dtype=np.float64)
     _check_store(index, store)
     per_question: dict[str, list[tuple[str, float]]] = {}
@@ -163,11 +167,13 @@ def rerank(
     from document id to record.  An index's rows are read as stored, with
     no text; it raises :class:`StateError` when it has no rows and
     :class:`ConfigMismatch` when ``store`` does not match its
-    fingerprint.  From records, each distinct reranked document is
-    tokenized once, up front, and all of them are mapped to vocabulary
-    rows in one call.  Either way the same scoring follows: the questions
-    are mapped in one call, and each question takes one matrix product
-    against its documents' vocabulary (:func:`rwmd_many`).
+    fingerprint.  From records, each distinct reranked document's text
+    is mapped to vocabulary rows once, up front, in the same
+    :meth:`EmbeddingStore.text_rows` call as the questions; the rows are
+    those of :func:`tokenize`'s tokens.  Either way the same scoring
+    follows: the questions' float64 vectors are gathered once, and each
+    question takes one matrix product against its documents' vocabulary
+    (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -203,24 +209,29 @@ def rerank(
 
     head_ids = list(dict.fromkeys(
         doc_id for qid in active_qids for doc_id, _ in run.per_question[qid][:depth]))
+    q_texts = [question_texts[qid] for qid in active_qids]
     if from_index:
         at = np.array([known[doc_id] for doc_id in head_ids], dtype=np.intp)
         rows = documents.rows
         spans = zip(documents.bounds[at].tolist(), documents.bounds[at + 1].tolist())
+        q_rows, q_bounds = store.text_rows(q_texts, stopwords)
     else:
-        rows, bounds = store.rows_many(tokenize(documents[doc_id].text, stopwords)
-                                       for doc_id in head_ids)
-        spans = itertools.pairwise(bounds.tolist())
+        # The documents, then the questions, in one call: the vocabulary
+        # is filtered once.
+        n = len(head_ids)
+        rows, bounds = store.text_rows([documents[doc_id].text for doc_id in head_ids]
+                                       + q_texts, stopwords)
+        spans = itertools.pairwise(bounds[:n + 1].tolist())
+        q_rows, q_bounds = rows[bounds[n]:], bounds[n:] - bounds[n]
     doc_rows = {doc_id: rows[lo:hi] for doc_id, (lo, hi) in zip(head_ids, spans)}
 
-    q_rows, q_bounds = store.rows_many(tokenize(question_texts[qid], stopwords)
-                                       for qid in active_qids)
+    q_matrix = store.matrix[q_rows].astype(np.float64)
     per_question: dict[str, list[tuple[str, float]]] = {qid: [] for qid in run.per_question}
     for qid, (lo, hi) in zip(active_qids, itertools.pairwise(q_bounds.tolist())):
         entries = run.per_question[qid]
         head = [doc_id for doc_id, _ in entries[:depth]]
-        dists = rwmd_many(embed_rows(q_rows[lo:hi], store),
-                          [doc_rows[doc_id] for doc_id in head], store, method)
+        q = EmbeddedText(rows=q_rows[lo:hi], matrix=q_matrix[lo:hi])
+        dists = rwmd_many(q, [doc_rows[doc_id] for doc_id in head], store, method)
         reranked = [(doc_id, dist) for dist, doc_id in sorted(zip(dists.tolist(), head))]
         per_question[qid] = reranked + list(entries[len(head):])
     suffix = method.replace("_", "")

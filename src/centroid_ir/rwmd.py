@@ -17,8 +17,11 @@ to the bottom of any reranking: the directed sum over an empty source is
 The per-pair functions ``rwmd_q``/``rwmd_d``/``rwmd_max`` are the
 reference definitions.  :func:`rwmd_many` computes the same values for
 one question against many documents given as vocabulary rows, with one
-matrix product against the union of those rows (the linear-complexity
-RWMD of Atasu et al., 2017); reranking uses it.
+matrix product against the sorted union of those rows (the
+linear-complexity RWMD of Atasu et al., 2017); reranking uses it.  The
+union is found with a boolean mask over the vocabulary, and its squared
+norms are read from the store's ``row_sq_norms``, which hold the bits
+the Gram expansion would compute.
 """
 
 from __future__ import annotations
@@ -64,11 +67,7 @@ class EmbeddedText:
 
 def embed_text(tokens: list[str], store: EmbeddingStore) -> EmbeddedText:
     """The vocabulary rows of ``tokens`` and their float64 vectors."""
-    return embed_rows(store.rows(tokens), store)
-
-
-def embed_rows(rows: np.ndarray, store: EmbeddingStore) -> EmbeddedText:
-    """Vocabulary rows of ``store`` with their float64 vectors."""
+    rows = store.rows(tokens)
     return EmbeddedText(rows=rows, matrix=store.matrix[rows].astype(np.float64))
 
 
@@ -118,14 +117,14 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
               method: str = "rwmd_q") -> np.ndarray:
     """``SCORERS[method](q, d)`` for every document ``d``, as a float64 array.
 
-    ``q`` is a question as :func:`embed_text` gives it for ``store``; each
-    document is given by its vocabulary rows (:meth:`EmbeddingStore.rows`).
-    One Gram expansion against the union U of those rows gives the
-    squared distance from every question word to every word in play,
-    with a question word's own row pinned to 0.  rwmd_q is then a
-    per-document segment minimum over U's columns, and rwmd_d the column
-    minimum over question words, summed per document word with
-    multiplicity.
+    ``q`` is a question's vocabulary rows of ``store`` with their float64
+    vectors, as :func:`embed_text` gives them; each document is given by
+    its vocabulary rows (:meth:`EmbeddingStore.rows`).  One Gram
+    expansion against the sorted union U of those rows gives the squared
+    distance from every question word to every word in play, with a
+    question word's own row pinned to 0.  rwmd_q is then a per-document
+    segment minimum over U's columns, and rwmd_d the column minimum over
+    question words, summed per document word with multiplicity.
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rwmd method {method!r}; expected one of {sorted(SCORERS)}")
@@ -138,15 +137,30 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
     to_q = np.full(len(docs), np.inf if len(q) else 0.0)
     to_d = np.where(lengths > 0, np.inf, 0.0)
     if len(q) and filled.size:
-        union, cols = np.unique(np.concatenate([docs[i] for i in filled]), return_inverse=True)
+        rows = np.concatenate([docs[i] for i in filled])
+        # U and each row's column in it, as np.unique(rows,
+        # return_inverse=True) gives them, from a mask over the
+        # vocabulary: numpy 2's np.unique hashes, and costs several times
+        # as much on the few thousand rows of one question.
+        in_union = np.zeros(len(store), dtype=bool)
+        in_union[rows] = True
+        union = np.flatnonzero(in_union)
+        col_of = np.empty(len(store), dtype=np.intp)
+        col_of[union] = np.arange(union.size)
+        cols = col_of[rows]
         starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
-        # Squared distances via the Gram expansion, as in _directed_sum.
+        # Squared distances via the Gram expansion, as in _directed_sum,
+        # with U's squared norms read from the store.
         u = store.matrix[union].astype(np.float64)
         q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
-        u2 = np.einsum("ij,ij->i", u, u)
-        sq = q2[:, None] + u2[None, :] - 2.0 * (q.matrix @ u.T)
-        sq[q.rows[:, None] == union[None, :]] = 0.0
-        seg_min = np.minimum.reduceat(sq[:, cols], starts, axis=1)
+        sq = q2[:, None] + store.row_sq_norms[union][None, :] - 2.0 * (q.matrix @ u.T)
+        shared = np.flatnonzero(in_union[q.rows])
+        sq[shared, col_of[q.rows[shared]]] = 0.0
+        # The segment minima run down the rows of sq's transpose, which
+        # is faster than across its columns; a minimum does not round, and
+        # the sum below sees sq's layout again.
+        seg_min = np.minimum.reduceat(np.ascontiguousarray(sq.T).take(cols, axis=0), starts)
+        seg_min = np.ascontiguousarray(seg_min.T)
         to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
         col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
         to_d[filled] = np.add.reduceat(col_min[cols], starts)

@@ -1,10 +1,13 @@
 """Text normalization: lowercasing, splitting, stop-word removal.
 
-Every document and question passes through :func:`tokenize` before any
-vector arithmetic, so the rules here pin down the vocabulary seen by the
-rest of the pipeline.  The rules are deliberately simple and reproducible:
-lowercase, split on anything that is not a letter or digit, drop stop
-words and single-digit tokens.  No stemming, no lemmatization.
+Every document and question is read through the rules here before any
+vector arithmetic, so they pin down the vocabulary seen by the rest of
+the pipeline.  The rules are deliberately simple and reproducible:
+lowercase, split on anything that is not a letter or digit (:func:`words`),
+drop stop words and single-digit tokens (:func:`kept`).  No stemming, no
+lemmatization.  :func:`tokenize` applies both halves to one text;
+:meth:`EmbeddingStore.text_rows` applies :func:`kept` to the vocabulary
+once and then maps each text's words straight to vocabulary rows.
 
 A separator is any character for which ``str.isalnum()`` is false (the
 regular expression ``[^\\W_]+`` picks out the same tokens).  The split is
@@ -40,6 +43,17 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
+def words(text: str) -> list[str]:
+    """``text`` lowercased and split on non-alphanumerics, before filtering."""
+    return text.lower().translate(_SEPARATORS).split()
+
+
+def kept(tokens: Iterable[str], stopwords: frozenset[str] | set[str]) -> list[str]:
+    """The ``tokens`` that :func:`tokenize` keeps, in order: all but stop
+    words and pure-digit tokens of length 1."""
+    return [t for t in tokens if t not in stopwords and not (len(t) == 1 and t.isdigit())]
+
+
 def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Lowercase ``text``, split on non-alphanumerics, and filter.
 
@@ -47,11 +61,7 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> l
     Token order follows the input, duplicates kept; empty input yields an
     empty list.  Stop-word entries are expected lowercase.
     """
-    return [
-        t
-        for t in text.lower().translate(_SEPARATORS).split()
-        if t not in stopwords and not (len(t) == 1 and t.isdigit())
-    ]
+    return kept(words(text), stopwords)
 
 
 def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:

@@ -2,6 +2,9 @@
 
 Everything here is written with plain loops, deliberately sharing no code
 or vectorization strategy with the package, so agreement is meaningful.
+The one exception is :func:`brute_rwmd_many`, the package's earlier
+vectorized RWMD kernel, kept as the slow path its faster successor must
+match bit for bit.
 """
 
 import heapq
@@ -229,3 +232,35 @@ def brute_tokenize(text, stopwords=frozenset()):
             continue
         tokens.append(token)
     return tokens
+
+
+def brute_rwmd_many(q, docs, store, method="rwmd_q"):
+    """``rwmd_many`` as it was before the vocabulary mask and cached norms.
+
+    The union of the documents' rows and each row's column in it come
+    from ``np.unique(..., return_inverse=True)``, both sides' squared
+    norms from ``einsum`` over the gathered float64 rows, and shared
+    words are found by comparing every question row with every union
+    row.
+    """
+    lengths = np.array([len(rows) for rows in docs], dtype=np.intp)
+    filled = np.flatnonzero(lengths)
+    to_q = np.full(len(docs), np.inf if len(q) else 0.0)
+    to_d = np.where(lengths > 0, np.inf, 0.0)
+    if len(q) and filled.size:
+        union, cols = np.unique(np.concatenate([docs[i] for i in filled]), return_inverse=True)
+        starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
+        u = store.matrix[union].astype(np.float64)
+        q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
+        u2 = np.einsum("ij,ij->i", u, u)
+        sq = q2[:, None] + u2[None, :] - 2.0 * (q.matrix @ u.T)
+        sq[q.rows[:, None] == union[None, :]] = 0.0
+        seg_min = np.minimum.reduceat(sq[:, cols], starts, axis=1)
+        to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
+        col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
+        to_d[filled] = np.add.reduceat(col_min[cols], starts)
+    if method == "rwmd_q":
+        return to_q
+    if method == "rwmd_d":
+        return to_d
+    return np.maximum(to_q, to_d)

@@ -439,6 +439,21 @@ class TestConfigFile:
         assert f"error: {config}: invalid engine 'fast'" in capsys.readouterr().err
         assert not (workspace / "x.crvi").exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("trees = abc", "trees"), ("leaf-cap = 2.5", "leaf_cap"), ("seed = ", "seed"),
+        ("compute-idf = maybe", "compute_idf"),
+    ])
+    def test_value_that_fails_conversion_exit_3(self, workspace, capsys, line, key):
+        config = workspace / "run.conf"
+        config.write_text(line + "\n")
+        code = main(["build-index", "--config", str(config),
+                     "--embeddings", str(workspace / "vectors.txt"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "x.crvi"), "--compute-idf"])
+        assert code == 3
+        assert f"error: {config}: invalid {key} " in capsys.readouterr().err
+        assert not (workspace / "x.crvi").exists()
+
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "run.conf"
         config.write_text("no_such_option = 1\n")

@@ -8,7 +8,9 @@ import pytest
 
 from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
                          StateError, centroid_idf, compute_idf,
-                         load_embeddings, load_idf, save_idf)
+                         default_stopwords, load_embeddings, load_idf,
+                         save_idf, tokenize)
+from centroid_ir.embeddings import _NORM_CHUNK
 from stores import make_store
 from oracles import brute_load_embeddings
 
@@ -216,6 +218,86 @@ class TestStoreRows:
         rows, bounds = store.rows_many([])
         assert rows.size == 0
         assert bounds.tolist() == [0]
+
+
+# Vocabulary words that tokenize drops (stop words, single Unicode
+# digits), words a split never yields (uppercase, "İ"), multi-digit
+# tokens, and plain words.
+_ADVERSARIAL_VOCAB = [
+    "the", "of", "cell", "cells", "7", "\u00b2", "\u0663", "\U0001d7d5", "12", "\u0663\u0663",
+    "x\u00b2", "Cell", "CELL", "\u0130", "i", "stanbul", "i\u0307", "gene", "name", "p53",
+    "stra\u00dfe", "\u2166", "\u2170", "",
+]
+_ADVERSARIAL_TEXTS = [
+    "", "   \t\n", "The cell OF cells", "7 \u00b2 \u0663 \U0001d7d5 12 \u0663\u0663 x\u00b2 77",
+    "\u0130stanbul \u0130 i I", "gene_name p53-mediated, CELL!", "unknown words only",
+    "the of the", "STRASSE Stra\u00dfe \u2166 \u2170", "a\x1cb\x85c\u2028cell\u3000gene\ud800name",
+]
+
+
+class TestTextRows:
+    """text_rows against rows_many(tokenize(...)), the two-step path it replaces."""
+
+    @pytest.fixture
+    def store(self):
+        rng = np.random.default_rng(29)
+        n = len(_ADVERSARIAL_VOCAB)
+        return EmbeddingStore(dict(zip(_ADVERSARIAL_VOCAB, rng.permutation(n).tolist())),
+                              rng.normal(size=(n, 3)).astype(np.float32))
+
+    @pytest.mark.parametrize("stop", [frozenset(), frozenset({"the", "of", "12", "cell"}),
+                                      default_stopwords()])
+    def test_adversarial_texts(self, store, stop):
+        want_rows, want_bounds = store.rows_many(tokenize(t, stop) for t in _ADVERSARIAL_TEXTS)
+        rows, bounds = store.text_rows(_ADVERSARIAL_TEXTS, stop)
+        assert rows.dtype == bounds.dtype == np.intp
+        assert rows.tolist() == want_rows.tolist()
+        assert bounds.tolist() == want_bounds.tolist()
+
+    def test_random_texts(self, store):
+        rng = np.random.default_rng(31)
+        pieces = _ADVERSARIAL_VOCAB + ["THE", "Of", "oov", "-", " ", ",", "_", "\u0130"]
+        texts = ["".join(rng.choice(pieces, size=rng.integers(0, 20))) for _ in range(200)]
+        texts += [" ".join(rng.choice(pieces, size=rng.integers(0, 20))) for _ in range(200)]
+        stop = {"the", "of", "gene"}
+        want_rows, want_bounds = store.rows_many(tokenize(t, stop) for t in texts)
+        rows, bounds = store.text_rows(iter(texts), stop)
+        assert rows.tolist() == want_rows.tolist()
+        assert bounds.tolist() == want_bounds.tolist()
+
+    def test_no_texts(self, store):
+        rows, bounds = store.text_rows([], frozenset())
+        assert rows.size == 0
+        assert bounds.tolist() == [0]
+
+
+class TestRowSqNorms:
+    """row_sq_norms against einsum over gathered float64 rows, bit for bit."""
+
+    def test_dims_1_to_301(self):
+        rng = np.random.default_rng(37)
+        for dim in range(1, 302):
+            n = int(rng.integers(1, 40))
+            store = EmbeddingStore({f"w{i}": int(r) for i, r in enumerate(rng.permutation(n))},
+                                   (rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4))
+                                   .astype(np.float32))
+            picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            gathered = store.matrix[picked].astype(np.float64)
+            want = np.einsum("ij,ij->i", gathered, gathered)
+            assert store.row_sq_norms[picked].tobytes() == want.tobytes(), dim
+
+    def test_across_chunks(self):
+        rng = np.random.default_rng(41)
+        n = _NORM_CHUNK * 2 + 7
+        store = EmbeddingStore({f"w{i}": i for i in range(n)},
+                               rng.normal(size=(n, 5)).astype(np.float32))
+        whole = store.matrix.astype(np.float64)
+        assert store.row_sq_norms.shape == (n,)
+        assert store.row_sq_norms.tobytes() == np.einsum("ij,ij->i", whole, whole).tobytes()
+
+    def test_empty_store(self):
+        store = EmbeddingStore({}, np.zeros((0, 3), dtype=np.float32))
+        assert store.row_sq_norms.shape == (0,)
 
 
 class TestFingerprint:

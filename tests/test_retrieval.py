@@ -11,6 +11,8 @@ from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
                          rerank, retrieve, tokenize)
 from centroid_ir.index import _SCAN_RATIO
 from centroid_ir.rwmd import SCORERS
+from centroid_ir.text import words
+from oracles import brute_rwmd_many
 from stores import make_store, random_store
 
 STOP = frozenset({"the", "of", "and"})
@@ -401,7 +403,7 @@ class TestRerankFromIndex:
 
     @pytest.mark.parametrize("depth", [None, 3, 9, 100])
     @pytest.mark.parametrize("method", sorted(SCORERS))
-    def test_equals_records_path(self, case, method, depth):
+    def test_equals_records_path(self, case, method, depth, monkeypatch):
         store, docs, questions, index, run = case
         from_index = rerank(run, questions, index, store, method=method, stopwords=STOP,
                             depth=depth)
@@ -410,13 +412,17 @@ class TestRerankFromIndex:
         assert from_index.tag == from_records.tag
         assert from_index.per_question == from_records.per_question
         assert from_index["q00"] == from_index["lonely"] == []
+        # ... and both equal the kernel the mask-based rwmd_many replaced.
+        monkeypatch.setattr("centroid_ir.retrieval.rwmd_many", brute_rwmd_many)
+        slow = rerank(run, questions, docs, store, method=method, stopwords=STOP, depth=depth)
+        assert slow.per_question == from_records.per_question
 
     def test_reads_no_text(self, case, monkeypatch):
         store, docs, questions, index, run = case
         want = rerank(run, questions, docs, store, stopwords=STOP)
         texts = []
-        monkeypatch.setattr("centroid_ir.retrieval.tokenize",
-                            lambda text, stop: texts.append(text) or tokenize(text, stop))
+        monkeypatch.setattr("centroid_ir.embeddings.words",
+                            lambda text: texts.append(text) or words(text))
         assert rerank(run, questions, index, store, stopwords=STOP).per_question == \
             want.per_question
         assert sorted(texts) == sorted(q.text for q in questions if run[q.qid])

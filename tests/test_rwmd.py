@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from centroid_ir import DimensionMismatch, embed_text, rwmd_d, rwmd_max, rwmd_q
-from centroid_ir.rwmd import EmbeddedText
+from centroid_ir import (DimensionMismatch, EmbeddingStore, embed_text, rwmd_d,
+                         rwmd_max, rwmd_q)
+from centroid_ir.rwmd import SCORERS, EmbeddedText, rwmd_many
+from oracles import brute_rwmd_many
 from stores import random_store
 
 
@@ -165,3 +167,60 @@ class TestEmbeddedTextShape:
     def test_rows_must_be_1d(self):
         with pytest.raises(ValueError, match="1-dimensional"):
             EmbeddedText(rows=[[0, 1]], matrix=np.zeros((2, 2)))
+
+
+class TestRwmdManyMatchesBrute:
+    """rwmd_many against the np.unique kernel it replaced, bit for bit."""
+
+    @staticmethod
+    def permuted_store(rng, n_words, dim):
+        words = [f"w{i}" for i in range(n_words)]
+        return EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(n_words))},
+                              rng.normal(size=(n_words, dim)).astype(np.float32))
+
+    @staticmethod
+    def random_docs(rng, store, n_docs):
+        words = list(store.vocab)
+        docs = []
+        for _ in range(n_docs):
+            kind = rng.integers(6)
+            if kind == 0:
+                tokens = []                                   # an empty document
+            elif kind == 1:
+                tokens = ["oov"] * int(rng.integers(1, 4))    # all out of vocabulary
+            else:                                             # repeats likely
+                tokens = rng.choice(words[:int(rng.integers(2, len(words) + 1))],
+                                    size=int(rng.integers(1, 30))).tolist() + ["oov"]
+            docs.append(store.rows(tokens))
+        return docs
+
+    @pytest.mark.parametrize("method", sorted(SCORERS))
+    @pytest.mark.parametrize("depth", [None, 3, 9])
+    def test_random_stores(self, method, depth):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            store = self.permuted_store(rng, int(rng.integers(3, 80)), int(rng.integers(1, 40)))
+            words = list(store.vocab)
+            # The questions' vectors come from one gather, sliced per question.
+            questions = [rng.choice(words, size=int(rng.integers(0, 8))).tolist()
+                         for _ in range(4)]
+            q_rows, q_bounds = store.rows_many(questions)
+            q_matrix = store.matrix[q_rows].astype(np.float64)
+            docs = self.random_docs(rng, store, int(rng.integers(0, 15)))[:depth]
+            for lo, hi in zip(q_bounds[:-1], q_bounds[1:]):
+                q = EmbeddedText(rows=q_rows[lo:hi], matrix=q_matrix[lo:hi])
+                got = rwmd_many(q, docs, store, method)
+                want = brute_rwmd_many(q, docs, store, method)
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+
+    def test_question_of_repeated_shared_words(self):
+        rng = np.random.default_rng(47)
+        store = self.permuted_store(rng, 10, 4)
+        q = embed_text(["w1", "w1", "w2", "oov"], store)
+        docs = [store.rows(["w1"]), store.rows(["w2", "w2", "w3"]), store.rows([]),
+                store.rows(["w1", "w2"])]
+        for method in SCORERS:
+            got = rwmd_many(q, docs, store, method)
+            assert got.tobytes() == brute_rwmd_many(q, docs, store, method).tobytes()
+        assert rwmd_many(q, docs, store, "rwmd_d")[[0, 3]].tolist() == [0.0, 0.0]
