@@ -39,6 +39,14 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError, open_text
 from .text import kept, words
 
+# EmbeddingStore.text_rows builds its lookup from the whole vocabulary
+# once the texts hold this many characters per vocabulary word.  On the
+# 4 113 rerank-batch documents (2.4M characters), collecting their
+# distinct words and filtering the vocabulary cost the same at about
+# V = 120 000, 20 characters per word; the lower value leans towards the
+# vocabulary, which lets the texts stream instead of holding their words.
+_CHARS_PER_VOCAB_WORD = 16
+
 # Rows per float64 copy in ``row_sq_norms``.  Kept small: the norms are
 # computed inside the first rerank, beside its other buffers, and a larger
 # copy raised the benchmark's peak memory.
@@ -100,12 +108,26 @@ class EmbeddingStore:
     def text_rows(self, texts: Iterable[str],
                   stopwords: frozenset[str] | set[str]) -> tuple[np.ndarray, np.ndarray]:
         """``rows_many(tokenize(text, stopwords) for text in texts)``, with
-        one dictionary lookup per word: the vocabulary minus the words
-        :func:`~centroid_ir.text.kept` drops is built once per call, in
-        O(V), so a dropped word maps like an out-of-vocabulary one."""
+        one dictionary lookup per word.
+
+        The lookup holds the in-vocabulary words that
+        :func:`~centroid_ir.text.kept` keeps, so a dropped word maps like
+        an out-of-vocabulary one.  It is built from the texts' distinct
+        words or, once the texts hold ``_CHARS_PER_VOCAB_WORD`` characters
+        per vocabulary word, from the whole vocabulary, which then costs
+        less; either way a call costs O(characters), whatever the size of
+        the vocabulary.  Only the first way holds all the texts' words at
+        once.
+        """
+        texts = list(texts)
         vocab = self.vocab
-        lookup = {word: vocab[word] for word in kept(vocab, stopwords)}
-        return _map_rows(lookup, map(words, texts))
+        if sum(map(len, texts)) < _CHARS_PER_VOCAB_WORD * len(vocab):
+            word_lists = [words(text) for text in texts]
+            candidates = vocab.keys() & set(itertools.chain.from_iterable(word_lists))
+        else:
+            word_lists, candidates = map(words, texts), vocab
+        lookup = {word: vocab[word] for word in kept(candidates, stopwords)}
+        return _map_rows(lookup, word_lists)
 
     @cached_property
     def row_sq_norms(self) -> np.ndarray:

@@ -14,9 +14,9 @@ The building blocks compose into the named systems:
 
 Each of ``retrieve`` and ``rerank`` maps all its question texts to
 vocabulary rows in one :meth:`EmbeddingStore.text_rows` call, which
-filters the vocabulary by the tokenizer's rule once instead of each
-word, then answers the questions one after another on the calling
-thread; exact scoring's parallelism is the BLAS library's own.  Only
+applies the tokenizer's keep rule to a per-call lookup instead of to
+every token, then answers the questions one after another on the
+calling thread; exact scoring's parallelism is the BLAS library's own.  Only
 :func:`build_corpus_index` runs :func:`tokenize`, because IDF counts
 out-of-vocabulary tokens too.  Both raise :class:`ConfigMismatch` when
 the embeddings or IDF scores differ from those an index was built with.
@@ -102,13 +102,13 @@ def retrieve(
     its slice as :func:`centroid_idf` or :func:`centroid_simple` takes
     it, bit for bit.  A question whose centroid is zero (all tokens out
     of vocabulary or stop words) gets an empty list rather than an
-    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.  Raises :class:`DuplicateId` for a repeated
-    question id, and :class:`ConfigMismatch` when the index records a
-    centroid mode other than the one requested or a store fingerprint
-    that ``store`` does not match; in mode "centidf", a store without IDF
-    scores raises :class:`StateError` before that.  ``threads`` is
-    accepted for callers that still pass it and must be at least 1; it
-    has no effect.
+    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.
+    Raises :class:`DuplicateId` for a repeated question id, and
+    :class:`ConfigMismatch` when the index records a centroid mode other
+    than the one requested or a store fingerprint that ``store`` does
+    not match; in mode "centidf", a store without IDF scores raises
+    :class:`StateError` before that.  ``threads`` is accepted for
+    callers that still pass it and must be at least 1; it has no effect.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -167,13 +167,13 @@ def rerank(
     from document id to record.  An index's rows are read as stored, with
     no text; it raises :class:`StateError` when it has no rows and
     :class:`ConfigMismatch` when ``store`` does not match its
-    fingerprint.  From records, each distinct reranked document's text
-    is mapped to vocabulary rows once, up front, in the same
-    :meth:`EmbeddingStore.text_rows` call as the questions; the rows are
-    those of :func:`tokenize`'s tokens.  Either way the same scoring
-    follows: the questions' float64 vectors are gathered once, and each
-    question takes one matrix product against its documents' vocabulary
-    (:func:`rwmd_many`).
+    fingerprint.  From records, the distinct reranked documents' texts
+    are mapped to vocabulary rows once, up front, in one
+    :meth:`EmbeddingStore.text_rows` call; the rows are those of
+    :func:`tokenize`'s tokens.  Either way the same scoring follows: the
+    questions are mapped in one call and their float64 vectors gathered
+    once, and each question takes one matrix product against its
+    documents' vocabulary (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -209,22 +209,17 @@ def rerank(
 
     head_ids = list(dict.fromkeys(
         doc_id for qid in active_qids for doc_id, _ in run.per_question[qid][:depth]))
-    q_texts = [question_texts[qid] for qid in active_qids]
     if from_index:
         at = np.array([known[doc_id] for doc_id in head_ids], dtype=np.intp)
         rows = documents.rows
         spans = zip(documents.bounds[at].tolist(), documents.bounds[at + 1].tolist())
-        q_rows, q_bounds = store.text_rows(q_texts, stopwords)
     else:
-        # The documents, then the questions, in one call: the vocabulary
-        # is filtered once.
-        n = len(head_ids)
-        rows, bounds = store.text_rows([documents[doc_id].text for doc_id in head_ids]
-                                       + q_texts, stopwords)
-        spans = itertools.pairwise(bounds[:n + 1].tolist())
-        q_rows, q_bounds = rows[bounds[n]:], bounds[n:] - bounds[n]
+        rows, bounds = store.text_rows((documents[doc_id].text for doc_id in head_ids),
+                                       stopwords)
+        spans = itertools.pairwise(bounds.tolist())
     doc_rows = {doc_id: rows[lo:hi] for doc_id, (lo, hi) in zip(head_ids, spans)}
 
+    q_rows, q_bounds = store.text_rows((question_texts[qid] for qid in active_qids), stopwords)
     q_matrix = store.matrix[q_rows].astype(np.float64)
     per_question: dict[str, list[tuple[str, float]]] = {qid: [] for qid in run.per_question}
     for qid, (lo, hi) in zip(active_qids, itertools.pairwise(q_bounds.tolist())):

@@ -19,9 +19,9 @@ reference definitions.  :func:`rwmd_many` computes the same values for
 one question against many documents given as vocabulary rows, with one
 matrix product against the sorted union of those rows (the
 linear-complexity RWMD of Atasu et al., 2017); reranking uses it.  The
-union is found with a boolean mask over the vocabulary, and its squared
-norms are read from the store's ``row_sq_norms``, which hold the bits
-the Gram expansion would compute.
+union is found in time proportional to the rows in play, whatever the
+vocabulary's size, and its squared norms are read from the store's
+``row_sq_norms``, which hold the bits the Gram expansion would compute.
 """
 
 from __future__ import annotations
@@ -139,13 +139,16 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
     if len(q) and filled.size:
         rows = np.concatenate([docs[i] for i in filled])
         # U and each row's column in it, as np.unique(rows,
-        # return_inverse=True) gives them, from a mask over the
-        # vocabulary: numpy 2's np.unique hashes, and costs several times
-        # as much on the few thousand rows of one question.
-        in_union = np.zeros(len(store), dtype=bool)
-        in_union[rows] = True
-        union = np.flatnonzero(in_union)
+        # return_inverse=True) gives them, sorting only the distinct rows
+        # and in time that does not grow with the vocabulary: each row
+        # writes its position into an uninitialized array over the
+        # vocabulary; of a repeated row, just the one position the writes
+        # leave there (whichever it is) reads back as its own.  Only the
+        # rows in play are written or read.
         col_of = np.empty(len(store), dtype=np.intp)
+        at = np.arange(rows.size)
+        col_of[rows] = at
+        union = np.sort(rows[col_of[rows] == at])
         col_of[union] = np.arange(union.size)
         cols = col_of[rows]
         starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
@@ -154,8 +157,7 @@ def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore
         u = store.matrix[union].astype(np.float64)
         q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
         sq = q2[:, None] + store.row_sq_norms[union][None, :] - 2.0 * (q.matrix @ u.T)
-        shared = np.flatnonzero(in_union[q.rows])
-        sq[shared, col_of[q.rows[shared]]] = 0.0
+        sq[q.rows[:, None] == union[None, :]] = 0.0
         # The segment minima run down the rows of sq's transpose, which
         # is faster than across its columns; a minimum does not round, and
         # the sum below sees sq's layout again.

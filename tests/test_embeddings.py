@@ -11,6 +11,7 @@ from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
                          default_stopwords, load_embeddings, load_idf,
                          save_idf, tokenize)
 from centroid_ir.embeddings import _NORM_CHUNK
+from centroid_ir.text import kept
 from stores import make_store
 from oracles import brute_load_embeddings
 
@@ -235,15 +236,24 @@ _ADVERSARIAL_TEXTS = [
 ]
 
 
-class TestTextRows:
-    """text_rows against rows_many(tokenize(...)), the two-step path it replaces."""
+def _adversarial_store(n_filler):
+    """The adversarial vocabulary plus ``n_filler`` words no text uses,
+    on permuted rows."""
+    rng = np.random.default_rng(29)
+    vocab = _ADVERSARIAL_VOCAB + [f"filler{i}" for i in range(n_filler)]
+    return EmbeddingStore(dict(zip(vocab, rng.permutation(len(vocab)).tolist())),
+                          rng.normal(size=(len(vocab), 3)).astype(np.float32))
 
-    @pytest.fixture
-    def store(self):
-        rng = np.random.default_rng(29)
-        n = len(_ADVERSARIAL_VOCAB)
-        return EmbeddingStore(dict(zip(_ADVERSARIAL_VOCAB, rng.permutation(n).tolist())),
-                              rng.normal(size=(n, 3)).astype(np.float32))
+
+class TestTextRows:
+    """text_rows against rows_many(tokenize(...)), the two-step path it
+    replaces, with the lookup built from the whole vocabulary and from
+    the texts' distinct words."""
+
+    @pytest.fixture(params=[0, 10**9], ids=["from-vocab", "from-texts"])
+    def store(self, request, monkeypatch):
+        monkeypatch.setattr("centroid_ir.embeddings._CHARS_PER_VOCAB_WORD", request.param)
+        return _adversarial_store(0)
 
     @pytest.mark.parametrize("stop", [frozenset(), frozenset({"the", "of", "12", "cell"}),
                                       default_stopwords()])
@@ -269,6 +279,20 @@ class TestTextRows:
         rows, bounds = store.text_rows([], frozenset())
         assert rows.size == 0
         assert bounds.tolist() == [0]
+
+    @pytest.mark.parametrize("n_filler, filtered", [
+        (10_000, ["cell", "cells", "gene", "of", "the"]),   # 30 characters, V = 10 024
+        (0, sorted(_ADVERSARIAL_VOCAB)),                    # 30 characters, V = 24
+    ])
+    def test_lookup_source_follows_text_length(self, monkeypatch, n_filler, filtered):
+        store = _adversarial_store(n_filler)
+        seen = []
+        monkeypatch.setattr("centroid_ir.embeddings.kept",
+                            lambda words, stop: seen.append(sorted(words)) or kept(words, stop))
+        monkeypatch.setattr("centroid_ir.embeddings._CHARS_PER_VOCAB_WORD", 1)
+        rows, _ = store.text_rows(["The cell of cells", "gene CELL oov"], {"the"})
+        assert seen == [filtered]
+        assert rows.tolist() == store.rows(["cell", "of", "cells", "gene", "cell"]).tolist()
 
 
 class TestRowSqNorms:
