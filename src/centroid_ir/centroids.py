@@ -89,18 +89,17 @@ def centroid_idf(tokens: list[str], store: EmbeddingStore) -> Centroid:
 
 
 def centroid_matrix(rows: np.ndarray, bounds: np.ndarray, store: EmbeddingStore,
-                    idf: bool, dtype=np.float32) -> np.ndarray:
+                    idf_rows: np.ndarray | None, dtype=np.float32) -> np.ndarray:
     """Centroid vectors of many texts, one row per text.
 
     Text i's vocabulary rows are ``rows[bounds[i]:bounds[i + 1]]``, as
     :meth:`EmbeddingStore.rows_many` gives them.  Row i is the float64
-    ``vec`` of :func:`centroid_idf` (``idf``) or :func:`centroid_simple`
-    for text i, zero for a zero centroid, stored as ``dtype``: float32
-    rounds it as an index stores it, float64 keeps its bits.  IDF scores
-    are required only when there is at least one text.
+    ``vec`` of :func:`centroid_simple` for text i or, with IDF weights
+    ``idf_rows`` (one per vocabulary row), of :func:`centroid_idf`; zero
+    for a zero centroid, stored as ``dtype``: float32 rounds it as an
+    index stores it, float64 keeps its bits.
     """
     out = np.zeros((len(bounds) - 1, store.dim), dtype=dtype)
-    idf_rows = _idf_rows(store) if idf and len(out) else None
     for i, (lo, hi) in enumerate(itertools.pairwise(bounds.tolist())):
         vec, _ = _weighted_mean(rows[lo:hi], store, idf_rows)
         if vec is not None:

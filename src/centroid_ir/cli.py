@@ -47,6 +47,14 @@ def _read_config(path) -> dict[str, str]:
     return values
 
 
+def _positive_ints(text: str) -> list[int]:
+    """A comma-separated list of positive integers; blank items are skipped."""
+    values = [int(item) for item in text.split(",") if item.strip()]
+    if any(value < 1 for value in values):
+        raise ValueError(f"not a list of positive integers: {text!r}")
+    return values
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -161,8 +169,6 @@ def cmd_search(ns) -> int:
                              "rebuild it with build-index")
     engine = ns.engine or ("ann" if index.n_trees else "exact")
     store = emb.load_embeddings(ns.embeddings)
-    if mode == "centidf":
-        store.set_idf_rows(index.idf_rows)
     stopwords = _load_stopword_set(ns)
     questions = load_questions(ns.questions)
     t_load = time.perf_counter() - t0
@@ -211,8 +217,7 @@ def cmd_hybrid(ns) -> int:
 def cmd_evaluate(ns) -> int:
     run = read_run(ns.run)
     qrels = ev.read_qrels(ns.qrels)
-    k_list = [int(k) for k in str(ns.ndcg_k).split(",") if k.strip()]
-    report = ev.evaluate(run, qrels, k_list=k_list, map_depth=ns.map_depth)
+    report = ev.evaluate(run, qrels, k_list=ns.ndcg_k, map_depth=ns.map_depth)
     if ns.json == "-":
         sys.stdout.write(ev.report_to_json(report))
     else:
@@ -293,7 +298,8 @@ def _build_parser():
     c = _Command(sub, "evaluate", "score a run against qrels")
     c.opt("--run", required=True)
     c.opt("--qrels", required=True)
-    c.opt("--ndcg-k", default="20,100", help="comma-separated nDCG depths")
+    c.opt("--ndcg-k", type=_positive_ints, default=ev.DEFAULT_NDCG_K,
+          help="comma-separated nDCG depths")
     c.opt("--map-depth", type=int, help="truncate rankings for AP only")
     c.opt("--json", help="write the JSON report here ('-' for stdout)")
     commands["evaluate"] = (c, cmd_evaluate)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DuplicateId, ParseError, open_text
+from .runs import field_problem
 
 
 @dataclass(frozen=True)
@@ -23,22 +24,14 @@ class DocumentRecord:
 
 
 def record_id(obj: dict, line_no: int, path) -> str:
-    """A JSON-lines record's ``id`` as text: a JSON string or integer.
-
-    The id must be one field of a run file: not empty, free of
-    whitespace, and encodable as UTF-8 (a lone surrogate is not).
-    """
+    """A JSON-lines record's ``id`` as text: a JSON string or integer that
+    can be one field of a run file (:func:`~centroid_ir.runs.field_problem`)."""
     value = obj["id"]
     if not (isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))):
         raise ParseError("'id' must be a JSON string or integer", line_no=line_no, path=path)
     text = str(value)
-    if text.split() != [text]:
-        raise ParseError("'id' must be non-empty and hold no whitespace",
-                         line_no=line_no, path=path)
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ParseError("'id' cannot be encoded as UTF-8", line_no=line_no, path=path) from None
+    if problem := field_problem(text):
+        raise ParseError(f"'id' {problem}", line_no=line_no, path=path)
     return text
 
 

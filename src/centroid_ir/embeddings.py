@@ -13,15 +13,15 @@ ln(n_docs), the value a df = 1 token would get.
 
 The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
 too; ``idf_rows`` is the float64 vector over vocabulary rows that the
-centroid arithmetic reads and a ``centidf`` index keeps (``set_idf_rows``
-attaches it alone).  :meth:`EmbeddingStore.rows_many` maps token lists to
-rows, for one text (:meth:`EmbeddingStore.rows`) or a whole corpus, and
+centroid arithmetic reads, and that a ``centidf`` index built from the
+store takes over, so a store loaded to search it needs no IDF.
+:meth:`EmbeddingStore.rows_many` maps token lists to rows, for one text
+(:meth:`EmbeddingStore.rows`) or a whole corpus, and
 :meth:`EmbeddingStore.text_rows` maps raw texts the same way, as
 :func:`~centroid_ir.text.tokenize` would filter them, with one dictionary
 lookup per word.  ``row_sq_norms`` holds every row's squared norm in
 float64 for the RWMD kernel.  :meth:`EmbeddingStore.fingerprint`
-identifies the vectors, and optionally the IDF scores, that an index was
-built from.
+identifies the vectors an index was built from, with a centidf index's weights.
 """
 
 from __future__ import annotations
@@ -62,13 +62,7 @@ class EmbeddingStore:
     :attr:`row_sq_norms` has been read.
     """
 
-    def __init__(
-        self,
-        vocab: dict[str, int],
-        matrix: np.ndarray,
-        idf: dict[str, float] | None = None,
-        n_docs: int | None = None,
-    ):
+    def __init__(self, vocab: dict[str, int], matrix: np.ndarray):
         if matrix.ndim != 2:
             raise ValueError("embedding matrix must be 2-dimensional")
         if len(vocab) != matrix.shape[0]:
@@ -80,10 +74,7 @@ class EmbeddingStore:
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.idf: dict[str, float] | None = None
         self.idf_rows: np.ndarray | None = None
-        self._idf_digest: bytes | None = None
-        self.n_docs = n_docs
-        if idf is not None:
-            self.set_idf(idf, n_docs or 0)
+        self.n_docs: int | None = None
 
     @property
     def dim(self) -> int:
@@ -150,17 +141,7 @@ class EmbeddingStore:
         idf_rows = np.empty(n)
         idf_rows[np.fromiter(self.vocab.values(), np.intp, count=n)] = np.fromiter(
             map(idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
-        self.set_idf_rows(idf_rows)
-        self.idf, self.n_docs = idf, n_docs
-
-    def set_idf_rows(self, idf_rows) -> None:
-        """Attach IDF weights, one float64 per vocabulary row, without a token
-        table: ``idf`` and ``n_docs`` become None."""
-        idf_rows = np.ascontiguousarray(idf_rows, dtype=np.float64)
-        if idf_rows.shape != (len(self.vocab),):
-            raise ValueError(f"IDF weights of shape {idf_rows.shape} for {len(self)} rows")
-        self.idf_rows, self.idf, self.n_docs = idf_rows, None, None
-        self._idf_digest = hashlib.sha256(np.ascontiguousarray(idf_rows, "<f8")).digest()
+        self.idf_rows, self.idf, self.n_docs = idf_rows, idf, n_docs
 
     @cached_property
     def _digest(self) -> bytes:
@@ -175,16 +156,17 @@ class EmbeddingStore:
         digest.update(np.ascontiguousarray(self.matrix, "<f4"))
         return digest.digest()
 
-    def fingerprint(self, idf: bool) -> bytes:
-        """32 bytes that identify the vocabulary and matrix, and with ``idf``
-        also ``idf_rows``, or their absence.
+    def fingerprint(self, idf_rows: np.ndarray | None = None) -> bytes:
+        """32 bytes that identify the vocabulary and matrix and, when given,
+        a centidf index's IDF weights ``idf_rows``.
 
         The vocabulary-and-matrix part is hashed on first use and kept;
-        the IDF part is hashed when the scores are attached.
+        the weights are hashed on every call.
         """
         digest = hashlib.sha256(self._digest)
-        if idf:
-            digest.update(b"\x00" if self._idf_digest is None else b"\x01" + self._idf_digest)
+        if idf_rows is not None:
+            weights = np.ascontiguousarray(idf_rows, "<f8")
+            digest.update(b"\x01" + hashlib.sha256(weights).digest())
         return digest.digest()
 
     def compute_idf(self, docs: Iterable[list[str]]) -> dict[str, float]:

@@ -109,10 +109,11 @@ class CentroidIndex:
 
     An index built from a corpus also carries its documents' vocabulary
     rows: document i's are ``rows[bounds[i]:bounds[i + 1]]``, rows of a
-    vocabulary of ``vocab_size`` words, and ``fingerprint`` is the
-    :meth:`EmbeddingStore.fingerprint` of the store they index.  The four
-    come together or not at all.  In mode "centidf" they come with
-    ``idf_rows``, the store's float64 IDF weight per vocabulary row.
+    vocabulary of ``vocab_size`` words, and ``fingerprint``, the
+    :meth:`EmbeddingStore.fingerprint` of the store they index given
+    ``idf_rows``.  The four come together or not at all.  In mode
+    "centidf" they come with ``idf_rows``: one float64 IDF weight per
+    vocabulary row, taken from that store and owned by the index.
 
     The constructor checks every invariant of an index, raising
     :class:`DuplicateId` for a repeated id and ``ValueError`` otherwise.

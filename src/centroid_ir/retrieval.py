@@ -19,7 +19,7 @@ every token, then answers the questions one after another on the
 calling thread; exact scoring's parallelism is the BLAS library's own.  Only
 :func:`build_corpus_index` runs :func:`tokenize`, because IDF counts
 out-of-vocabulary tokens too.  Both raise :class:`ConfigMismatch` when
-the embeddings or IDF scores differ from those an index was built with.
+the embeddings differ from those an index was built with.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 # centroid_idf, centroid_simple and embed_text are not called here, but
 # perfbench's tracer wraps them under these names, so they stay imported.
-from .centroids import centroid_idf, centroid_matrix, centroid_simple  # noqa: F401
+from .centroids import _idf_rows, centroid_idf, centroid_matrix, centroid_simple  # noqa: F401
 from .corpus import DocumentRecord, _json_lines, record_id
 from .embeddings import EmbeddingStore
 from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
@@ -54,8 +54,7 @@ class Question:
 
 def load_questions(path) -> list[Question]:
     """Read JSON-lines questions: a string or integer ``id``, a string ``text``."""
-    questions: list[Question] = []
-    seen: set[str] = set()
+    questions: dict[str, Question] = {}
     for line_no, obj in _json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ParseError("question object needs 'id' and 'text' fields",
@@ -63,11 +62,10 @@ def load_questions(path) -> list[Question]:
         qid = record_id(obj, line_no, path)
         if not isinstance(obj["text"], str):
             raise ParseError("'text' must be a JSON string", line_no=line_no, path=path)
-        if qid in seen:
+        if qid in questions:
             raise DuplicateId(f"duplicate question id {qid!r} in {path}")
-        seen.add(qid)
-        questions.append(Question(qid=qid, text=obj["text"]))
-    return questions
+        questions[qid] = Question(qid=qid, text=obj["text"])
+    return list(questions.values())
 
 
 def _check_mode(mode: str) -> None:
@@ -76,10 +74,10 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_store(index: CentroidIndex, store: EmbeddingStore) -> None:
-    """Raise :class:`ConfigMismatch` unless ``store`` matches the index's fingerprint."""
+    """Raise :class:`ConfigMismatch` unless ``store`` gives the index's fingerprint."""
     if (index.fingerprint is not None
-            and store.fingerprint(idf=index.mode == "centidf") != index.fingerprint):
-        raise ConfigMismatch("the embeddings or IDF scores differ from those "
+            and store.fingerprint(index.idf_rows) != index.fingerprint):
+        raise ConfigMismatch("the embeddings or IDF weights differ from those "
                              "the index was built with")
 
 
@@ -102,12 +100,13 @@ def retrieve(
     its slice as :func:`centroid_idf` or :func:`centroid_simple` takes
     it, bit for bit.  A question whose centroid is zero (all tokens out
     of vocabulary or stop words) gets an empty list rather than an
-    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.
-    Raises :class:`DuplicateId` for a repeated question id, and
-    :class:`ConfigMismatch` when the index records a centroid mode other
-    than the one requested or a store fingerprint that ``store`` does
-    not match; in mode "centidf", a store without IDF scores raises
-    :class:`StateError` before that.  ``threads`` is accepted for
+    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.  Mode
+    "centidf" weights questions by ``index.idf_rows``, as the documents
+    were weighted; an index without them takes the store's, raising
+    :class:`StateError` if there are none.  Raises :class:`DuplicateId`
+    for a repeated question id, and :class:`ConfigMismatch` when the
+    index records a centroid mode other than the one requested or a store
+    fingerprint that ``store`` does not match.  ``threads`` is accepted for
     callers that still pass it and must be at least 1; it has no effect.
     """
     if engine not in ENGINES:
@@ -125,10 +124,13 @@ def retrieve(
     if stopwords is None:
         stopwords = default_stopwords()
     texts = _question_texts(questions)
+    _check_store(index, store)
+    idf_rows = None
+    if mode == "centidf" and texts:
+        idf_rows = _idf_rows(store) if index.idf_rows is None else index.idf_rows
 
     rows, bounds = store.text_rows(texts.values(), stopwords)
-    centroids = centroid_matrix(rows, bounds, store, idf=(mode == "centidf"), dtype=np.float64)
-    _check_store(index, store)
+    centroids = centroid_matrix(rows, bounds, store, idf_rows, dtype=np.float64)
     per_question: dict[str, list[tuple[str, float]]] = {}
     for qid, vec in zip(texts, centroids):
         if np.linalg.norm(vec) == 0.0:
@@ -167,13 +169,13 @@ def rerank(
     from document id to record.  An index's rows are read as stored, with
     no text; it raises :class:`StateError` when it has no rows and
     :class:`ConfigMismatch` when ``store`` does not match its
-    fingerprint.  From records, the distinct reranked documents' texts
-    are mapped to vocabulary rows once, up front, in one
-    :meth:`EmbeddingStore.text_rows` call; the rows are those of
-    :func:`tokenize`'s tokens.  Either way the same scoring follows: the
-    questions are mapped in one call and their float64 vectors gathered
-    once, and each question takes one matrix product against its
-    documents' vocabulary (:func:`rwmd_many`).
+    fingerprint; the store's IDF is not read.  From records, the distinct
+    reranked documents' texts are mapped to vocabulary rows once, up
+    front, in one :meth:`EmbeddingStore.text_rows` call; the rows are
+    those of :func:`tokenize`'s tokens.  Either way the same scoring
+    follows: the questions are mapped in one call and their float64
+    vectors gathered once, and each question takes one matrix product
+    against its documents' vocabulary (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -279,8 +281,8 @@ def build_corpus_index(
     corpus before the centroids are taken; otherwise the store must
     already carry IDF scores when mode is "centidf".  The index keeps the
     documents' vocabulary rows, the store's fingerprint and, in mode
-    "centidf", its ``idf_rows``, so that :func:`rerank` needs no text, a
-    search no IDF file, and a different store is caught.
+    "centidf", its ``idf_rows``, so that :func:`rerank` needs no text,
+    :func:`retrieve` no store IDF, and a different store is caught.
     """
     _check_mode(mode)  # before any work
     if stopwords is None:
@@ -290,13 +292,12 @@ def build_corpus_index(
     tokenized = [tokenize(record.text, stopwords) for record in records]
     if compute_idf:
         store.compute_idf(tokenized)
+    if centidf and store.idf_rows is None and not records:  # read without IDF
+        return CentroidIndex.from_matrix([], np.zeros((0, store.dim)), mode=mode)
+    idf_rows = _idf_rows(store) if centidf else None
     rows, bounds = store.rows_many(tokenized)
     del tokenized  # the token lists are not needed for the centroids
-    matrix = centroid_matrix(rows, bounds, store, idf=centidf)
-    ids = [record.id for record in records]
-    if centidf and store.idf_rows is None:  # an empty corpus, read without IDF
-        return CentroidIndex.from_matrix(ids, matrix, mode=mode)
+    matrix = centroid_matrix(rows, bounds, store, idf_rows)
     return CentroidIndex.from_matrix(
-        ids, matrix, mode=mode, rows=rows, bounds=bounds, vocab_size=len(store),
-        fingerprint=store.fingerprint(idf=centidf),
-        idf_rows=store.idf_rows if centidf else None)
+        [record.id for record in records], matrix, mode=mode, rows=rows, bounds=bounds,
+        vocab_size=len(store), fingerprint=store.fingerprint(idf_rows), idf_rows=idf_rows)

@@ -31,9 +31,26 @@ class RankedRun:
         return len(self.per_question)
 
 
+def field_problem(text: str) -> str | None:
+    """Why ``text`` cannot be a run-file field (empty, with whitespace, not UTF-8), or None."""
+    if text.split() != [text]:
+        return "must be non-empty and hold no whitespace"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "cannot be encoded as UTF-8"
+    return None
+
+
 def write_run(run: RankedRun, path) -> None:
-    """Write a run file; scores use repr so reloading is bit-exact."""
+    """Write a run file; scores use repr so reloading is bit-exact.  A qid,
+    doc id or tag that :func:`read_run` could not read raises ``ValueError`` first."""
     tag = run.tag or "run"
+    doc_ids = dict.fromkeys(d for entries in run.per_question.values() for d, _ in entries)
+    for kind, values in (("tag", [tag]), ("qid", run.per_question), ("doc id", doc_ids)):
+        for value in values:
+            if problem := field_problem(value):
+                raise ValueError(f"run {kind} {value!r} {problem}")
     with open(path, "w", encoding="utf-8") as fh:
         for qid, entries in run.per_question.items():
             for rank, (doc_id, score) in enumerate(entries, start=1):

@@ -142,8 +142,7 @@ class TestBruteCentroidOracle:
     def case(self, seed):
         # Row order is a permutation of the vocab dict's order, a third of
         # the vocabulary is missing from the IDF table, some IDFs are 0,
-        # and the table also scores out-of-vocabulary tokens.  The IDF
-        # reaches the store through the constructor.
+        # and the table also scores out-of-vocabulary tokens.
         rng = np.random.default_rng(seed)
         n_words, dim, n_docs = 30, 5, int(rng.integers(0, 9))
         words = [f"w{i}" for i in range(n_words)]
@@ -155,7 +154,8 @@ class TestBruteCentroidOracle:
         zeros = [str(w) for w in rng.choice(words, size=4, replace=False)]
         idf.update(dict.fromkeys(zeros, 0.0))
         idf.update({"oov1": 2.5, "oov2": 0.5})
-        store = EmbeddingStore(vocab, matrix, idf=idf, n_docs=n_docs)
+        store = EmbeddingStore(vocab, matrix)
+        store.set_idf(idf, n_docs)
         vectors = {w: matrix[vocab[w]].tolist() for w in words}
         pool = words + ["oov1", "oov2", "oov3"]
         texts = [rng.choice(pool, size=rng.integers(1, 30)).tolist() for _ in range(40)]
@@ -182,8 +182,8 @@ class TestBruteCentroidOracle:
             assert np.array_equal(cent.vec, np.zeros(store.dim))
 
     def test_unseen_vocab_token_gets_log_n_docs(self):
-        store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32),
-                               idf={"a": 0.5}, n_docs=7)
+        store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32))
+        store.set_idf({"a": 0.5}, 7)
         assert store.idf_rows.tolist() == [0.5, math.log(7)]
         cent = centroid_idf(["a", "b"], store)
         np.testing.assert_allclose(cent.vec, [0.5 / (0.5 + math.log(7)),
@@ -217,10 +217,10 @@ class TestBruteCentroidOracle:
         per_text = np.array([fn(tokens, store).vec for tokens in kept])
         want = [brute_centroid(tokens, vectors, table, n_docs)[0] for tokens in kept]
 
-        matrix = centroid_matrix(*store.rows_many(kept), store, idf=mode == "centidf")
+        idf_rows = store.idf_rows if mode == "centidf" else None
+        matrix = centroid_matrix(*store.rows_many(kept), store, idf_rows)
         assert matrix.tobytes() == per_text.astype(np.float32).tobytes()
-        exact = centroid_matrix(*store.rows_many(kept), store, idf=mode == "centidf",
-                                dtype=np.float64)
+        exact = centroid_matrix(*store.rows_many(kept), store, idf_rows, dtype=np.float64)
         assert exact.tobytes() == per_text.tobytes()
         np.testing.assert_allclose(per_text, want, rtol=0, atol=1e-12)
 
@@ -230,7 +230,7 @@ class TestBruteCentroidOracle:
         rows, bounds = store.rows_many(kept)
         assert index.rows.tolist() == rows.tolist() and index.bounds.tolist() == bounds.tolist()
         assert (index.vocab_size, index.fingerprint) == (
-            len(store), store.fingerprint(idf=mode == "centidf"))
+            len(store), store.fingerprint(idf_rows))
         ids = [r.id for r in records]
         expected = CentroidIndex.from_matrix(ids, per_text, mode=mode)
         assert index.unit_matrix.tobytes() == expected.unit_matrix.tobytes()

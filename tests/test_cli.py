@@ -263,8 +263,9 @@ class TestSearch:
 
 
 class TestStoreFingerprint:
-    """An index searched with other embeddings or IDF scores than it was
-    built with exits 3 instead of writing a plausible ranking."""
+    """An index searched with other embeddings than it was built with, or
+    whose IDF weights changed since, exits 3 instead of writing a
+    plausible ranking."""
 
     def search(self, ws, embeddings="vectors.txt", *extra):
         return main(["search", "--index", str(ws / "index.crvi"),
@@ -453,6 +454,35 @@ class TestConfigFile:
         assert code == 3
         assert f"error: {config}: invalid {key} " in capsys.readouterr().err
         assert not (workspace / "x.crvi").exists()
+
+    def evaluate(self, ws, *extra):
+        (ws / "run.txt").write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.9 t\n")
+        (ws / "report.json").unlink(missing_ok=True)
+        return main(["evaluate", "--run", str(ws / "run.txt"), "--qrels", str(ws / "qrels.txt"),
+                     "--json", str(ws / "report.json"), *extra])
+
+    @pytest.mark.parametrize("value", ["abc", "0", "3,-1", "2.5", "3;5"])
+    def test_bad_ndcg_k(self, workspace, capsys, value):
+        # A bad flag fails in argparse, naming the flag; a bad config
+        # value names the file and key.
+        with pytest.raises(SystemExit) as exit_info:
+            self.evaluate(workspace, "--ndcg-k", value)
+        assert exit_info.value.code == 2
+        assert "argument --ndcg-k: invalid" in capsys.readouterr().err
+        config = workspace / "run.conf"
+        config.write_text(f"ndcg_k = {value}\n")
+        assert self.evaluate(workspace, "--config", str(config)) == 3
+        assert f"error: {config}: invalid ndcg_k {value!r}" in capsys.readouterr().err
+        assert not (workspace / "report.json").exists()
+
+    def test_ndcg_k_from_config(self, workspace):
+        config = workspace / "run.conf"
+        config.write_text("ndcg-k = 1, 3,\n")
+        assert self.evaluate(workspace, "--config", str(config)) == 0
+        report = json.loads((workspace / "report.json").read_text())
+        assert sorted(report["mean_ndcg"]) == ["1", "3"]
+        assert self.evaluate(workspace, "--config", str(config), "--ndcg-k", "2") == 0
+        assert list(json.loads((workspace / "report.json").read_text())["mean_ndcg"]) == ["2"]
 
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "run.conf"

@@ -1,13 +1,16 @@
+import hashlib
 import math
 import re
+import struct
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from centroid_ir import (DimensionMismatch, EmbeddingStore, ParseError,
-                         StateError, centroid_idf, compute_idf,
+from centroid_ir import (DimensionMismatch, DocumentRecord, EmbeddingStore,
+                         ParseError, StateError, build_corpus_index,
+                         centroid_idf, compute_idf,
                          default_stopwords, load_embeddings, load_idf,
                          save_idf, tokenize)
 from centroid_ir.embeddings import _NORM_CHUNK
@@ -331,12 +334,12 @@ class TestFingerprint:
 
     def test_same_content_same_fingerprint(self):
         a, b = self.store(), self.store()
-        assert len(a.fingerprint(idf=False)) == 32
-        assert a.fingerprint(idf=False) == b.fingerprint(idf=False)
-        assert a.fingerprint(idf=True) == b.fingerprint(idf=True)
+        assert len(a.fingerprint()) == 32
+        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint(np.ones(3)) == b.fingerprint(np.ones(3))
         # The dict's order is not the row order.
         c = EmbeddingStore({"c": 2, "a": 0, "b": 1}, a.matrix)
-        assert c.fingerprint(idf=False) == a.fingerprint(idf=False)
+        assert c.fingerprint() == a.fingerprint()
 
     @pytest.mark.parametrize("other", [
         {"matrix": np.arange(6, dtype=np.float32).reshape(3, 2)[[1, 0, 2]]},
@@ -350,39 +353,57 @@ class TestFingerprint:
     ])
     def test_any_difference_changes_it(self, other):
         base, changed = self.store(), self.store(**other)
-        assert changed.fingerprint(idf=False) != base.fingerprint(idf=False)
+        assert changed.fingerprint() != base.fingerprint()
 
     def test_idf_part(self):
+        # The weights passed in are hashed, not the store's own IDF.
         store = self.store()
-        bare = store.fingerprint(idf=True)
-        store.set_idf({"a": 1.0, "b": 0.5}, 3)
-        with_idf = store.fingerprint(idf=True)
+        bare = store.fingerprint()
+        weights = np.array([1.0, 0.5, math.log(3)])
+        with_idf = store.fingerprint(weights)
         assert with_idf != bare
-        assert store.fingerprint(idf=False) == self.store().fingerprint(idf=False)
-        store.set_idf({"a": 1.0, "b": 0.5}, 4)  # changes the default for "c"
-        assert store.fingerprint(idf=True) != with_idf
-        store.set_idf({"a": 1.0, "b": 0.5, "c": math.log(3)}, 3)
-        assert store.fingerprint(idf=True) == with_idf
-
-    def test_idf_rows_attached_alone(self):
-        # The weights alone give the fingerprint set_idf gives; the token
-        # table they were made from is cleared.
-        store = self.store()
         store.set_idf({"a": 1.0, "b": 0.5}, 3)
-        other = self.store()
-        other.set_idf_rows(store.idf_rows.copy())
-        assert other.fingerprint(idf=True) == store.fingerprint(idf=True)
-        assert other.idf is None and other.n_docs is None
-        other.set_idf_rows(np.ones(3))
-        assert other.fingerprint(idf=True) != store.fingerprint(idf=True)
-        with pytest.raises(ValueError, match=r"shape \(2,\) for 3 rows"):
-            other.set_idf_rows(np.ones(2))
+        assert store.fingerprint() == bare
+        assert store.fingerprint(weights) == with_idf
+        assert store.fingerprint(store.idf_rows) == with_idf
+        assert store.fingerprint(np.array([1.0, 0.5, math.log(4)])) != with_idf
+        assert store.fingerprint(weights.astype(">f8")) == with_idf
+
+    def test_weights_hashed_on_every_call(self):
+        store = self.store()
+        weights = np.ones(3)
+        first = store.fingerprint(weights)
+        weights[1] = 2.0
+        assert store.fingerprint(weights) != first
 
     def test_vocabulary_and_matrix_hashed_once(self, monkeypatch):
         store = self.store()
-        first = store.fingerprint(idf=False)
+        first = store.fingerprint()
         monkeypatch.setattr(store, "matrix", np.zeros((3, 2), dtype=np.float32))
-        assert store.fingerprint(idf=False) == first
+        assert store.fingerprint() == first
+
+    @pytest.mark.parametrize("mode", ["cent", "centidf"])
+    def test_definition(self, mode):
+        # Index format v4 stores this hash; it is spelled out here by hand.
+        # The vocab dict's order is not the row order, and a token is not ASCII.
+        vocab = {"zeta": 2, "alpha": 0, "büro": 1}
+        matrix = np.array([[1.0, -2.0], [0.5, 3.25], [0.0, 1e-3]], dtype=np.float32)
+        store = EmbeddingStore(vocab, matrix)
+        docs = [DocumentRecord("d1", "alpha zeta", "büro"), DocumentRecord("d2", "", "zeta")]
+        index = build_corpus_index(docs, store, mode=mode, stopwords=frozenset(),
+                                   compute_idf=mode == "centidf")
+
+        tokens = ["alpha", "büro", "zeta"]
+        inner = hashlib.sha256(struct.pack("<QQ", 3, 2))
+        inner.update(struct.pack("<3q", *map(len, tokens)))
+        inner.update("alphabürozeta".encode("utf-8"))
+        inner.update(matrix.astype("<f4").tobytes())
+        outer = hashlib.sha256(inner.digest())
+        if mode == "centidf":
+            weights = struct.pack("<3d", math.log(2), math.log(2), 0.0)
+            assert index.idf_rows.astype("<f8").tobytes() == weights
+            outer.update(b"\x01" + hashlib.sha256(weights).digest())
+        assert index.fingerprint == outer.digest()
 
 
 class TestComputeIdf:

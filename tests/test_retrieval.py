@@ -9,7 +9,7 @@ from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
                          StateError, UnknownIds, build_corpus_index,
                          centroid_idf, centroid_simple, embed_text, hybrid,
                          rerank, retrieve, tokenize)
-from centroid_ir.index import _SCAN_RATIO
+from centroid_ir.index import _SCAN_RATIO, load_index, save_index
 from centroid_ir.rwmd import SCORERS
 from centroid_ir.text import words
 from oracles import brute_rwmd_many
@@ -66,14 +66,19 @@ class TestRetrieve:
                      stopwords=STOP)
 
     def test_centidf_needs_idf(self, toy):
+        # An index that carries no IDF weights, with mode centidf or none,
+        # takes the store's, which the store must then have.
         store, docs, _ = toy
-        bare = make_store({"alpha": [1.0, 0.0]})
-        index = build_corpus_index(
-            docs.values(), store, mode="centidf", stopwords=STOP)
-        with pytest.raises(StateError):
-            retrieve([Question("q1", "alpha")], index, bare, mode="centidf",
-                     stopwords=STOP)
-        assert "_digest" not in vars(bare)  # raised before hashing the store
+        built = build_corpus_index(docs.values(), store, mode="centidf", stopwords=STOP)
+        bare = make_store({w: store.matrix[row].tolist() for w, row in store.vocab.items()})
+        questions = [Question("q1", "alpha gamma")]
+        want = retrieve(questions, built, store, mode="centidf", stopwords=STOP)
+        for mode in (None, "centidf"):
+            index = CentroidIndex.from_matrix(built.doc_ids, built.unit_matrix, mode=mode)
+            with pytest.raises(StateError):
+                retrieve(questions, index, bare, mode="centidf", stopwords=STOP)
+            run = retrieve(questions, index, store, mode="centidf", stopwords=STOP)
+            assert run.per_question == want.per_question
 
     def test_duplicate_qids_rejected(self, toy):
         store, docs, index = toy
@@ -505,14 +510,45 @@ class TestBatchedRetrieve:
         with pytest.raises(ConfigMismatch, match="differ"):
             retrieve(questions, index, other, mode=mode, stopwords=STOP)
 
-    def test_other_idf_rejected_only_for_centidf(self):
+
+class TestIndexOwnsIdf:
+    """A centidf index weights questions by its own IDF weights: searched
+    and reranked after a save and load, it takes any store of its
+    embeddings, whatever IDF that store carries."""
+
+    @pytest.fixture
+    def case(self, tmp_path):
         store, docs, questions = corpus_case(98)
-        indexes = {mode: build_corpus_index(docs.values(), store, mode=mode, stopwords=STOP)
-                   for mode in ("cent", "centidf")}
-        store.set_idf({**store.idf, "w1": 9.0}, store.n_docs)
-        retrieve(questions, indexes["cent"], store, mode="cent", stopwords=STOP)
+        index = build_corpus_index(docs.values(), store, mode="centidf", stopwords=STOP)
+        save_index(index, tmp_path / "index.crvi")
+        run = retrieve(questions, index, store, mode="centidf", k=10, stopwords=STOP)
+        reranked = rerank(run, questions, index, store, stopwords=STOP)
+        return store, questions, load_index(tmp_path / "index.crvi"), run, reranked
+
+    @pytest.mark.parametrize("idf", ["none", "other"])
+    def test_store_idf_plays_no_part(self, case, idf):
+        store, questions, loaded, want, want_reranked = case
+        fresh = EmbeddingStore(dict(store.vocab), store.matrix.copy())
+        if idf == "other":
+            fresh.set_idf({**store.idf, "w1": 9.0, "w2": 0.0}, store.n_docs)
+            # ... weights that would change the questions' rankings.
+            assert per_question_loop(questions, loaded, fresh, "centidf", "exact", 10) \
+                != want.per_question
+        run = retrieve(questions, loaded, fresh, mode="centidf", k=10, stopwords=STOP)
+        assert run.per_question == want.per_question
+        reranked = rerank(run, questions, loaded, fresh, stopwords=STOP)
+        assert reranked.per_question == want_reranked.per_question
+
+    def test_other_matrix_rejected(self, case):
+        store, questions, loaded, want, _ = case
+        swapped = store.matrix.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        other = EmbeddingStore(dict(store.vocab), swapped)
+        other.set_idf(store.idf, store.n_docs)
         with pytest.raises(ConfigMismatch, match="differ"):
-            retrieve(questions, indexes["centidf"], store, mode="centidf", stopwords=STOP)
+            retrieve(questions, loaded, other, mode="centidf", stopwords=STOP)
+        with pytest.raises(ConfigMismatch, match="differ"):
+            rerank(want, questions, loaded, other, stopwords=STOP)
 
 
 class TestHybrid:

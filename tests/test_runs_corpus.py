@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -7,6 +8,20 @@ from centroid_ir import (DuplicateId, ParseError, Question, RankedRun,
                          load_questions, load_stopwords, read_qrels, read_run,
                          write_run)
 from centroid_ir.cli import _read_config
+
+
+# Ids that would break a run file's `qid Q0 doc_id rank score tag` line:
+# empty, holding whitespace (str.split's, which the run reader uses), or
+# a lone surrogate that UTF-8 cannot encode.
+BAD_RUN_IDS = [
+    ("", "'id' must be non-empty and hold no whitespace"),
+    ("doc one", "'id' must be non-empty and hold no whitespace"),
+    ("d\t1", "'id' must be non-empty and hold no whitespace"),
+    (" d1", "'id' must be non-empty and hold no whitespace"),
+    ("d1\u00a0", "'id' must be non-empty and hold no whitespace"),
+    ("d\u20281", "'id' must be non-empty and hold no whitespace"),
+    ("q\ud800", "'id' cannot be encoded as UTF-8"),
+]
 
 
 class TestRunFiles:
@@ -74,26 +89,30 @@ class TestRunFiles:
         assert lines[0].split() == ["q1", "Q0", "a", "1", "2.0", "t"]
         assert lines[1].split() == ["q1", "Q0", "b", "2", "1.0", "t"]
 
+    @pytest.mark.parametrize("bad, message", BAD_RUN_IDS)
+    @pytest.mark.parametrize("field", ["qid", "doc id", "tag"])
+    def test_write_refuses_unreadable_field(self, tmp_path, field, bad, message):
+        # What write_run writes, read_run reads back; a field it could not
+        # read is refused before the file is created.
+        qid, doc_id, tag = (bad if field == name else ok
+                            for name, ok in (("qid", "q1"), ("doc id", "d1"), ("tag", "t")))
+        run = RankedRun(tag=tag, per_question={"q0": [("d0", 1.0)], qid: [(doc_id, 0.5)]})
+        path = tmp_path / "run"
+        if field == "tag" and bad == "":  # an empty tag is written as "run"
+            write_run(run, path)
+            assert read_run(path).tag == "run"
+            return
+        problem = message.removeprefix("'id' ")
+        with pytest.raises(ValueError, match=re.escape(f"run {field} {bad!r} {problem}")):
+            write_run(run, path)
+        assert not path.exists()
+
     def test_import_external_alias(self, tmp_path):
         path = tmp_path / "run"
         path.write_text("q1 Q0 d7 1 12.5 pubmedse\n")
         run = read_run(path)
         assert run.tag == "pubmedse"
         assert run["q1"] == [("d7", 12.5)]
-
-
-# Ids that would break a run file's `qid Q0 doc_id rank score tag` line:
-# empty, holding whitespace (str.split's, which the run reader uses), or
-# a lone surrogate that UTF-8 cannot encode.
-BAD_RUN_IDS = [
-    ("", "'id' must be non-empty and hold no whitespace"),
-    ("doc one", "'id' must be non-empty and hold no whitespace"),
-    ("d\t1", "'id' must be non-empty and hold no whitespace"),
-    (" d1", "'id' must be non-empty and hold no whitespace"),
-    ("d1\u00a0", "'id' must be non-empty and hold no whitespace"),
-    ("d\u20281", "'id' must be non-empty and hold no whitespace"),
-    ("q\ud800", "'id' cannot be encoded as UTF-8"),
-]
 
 
 class TestCorpus:
