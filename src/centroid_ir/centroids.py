@@ -93,7 +93,7 @@ def centroid_matrix(rows: np.ndarray, bounds: np.ndarray, store: EmbeddingStore,
     """Centroid vectors of many texts, one row per text.
 
     Text i's vocabulary rows are ``rows[bounds[i]:bounds[i + 1]]``, as
-    :meth:`EmbeddingStore.rows_many` gives them.  Row i is the float64
+    :meth:`EmbeddingStore.text_rows` gives them.  Row i is the float64
     ``vec`` of :func:`centroid_simple` for text i or, with IDF weights
     ``idf_rows`` (one per vocabulary row), of :func:`centroid_idf`; zero
     for a zero centroid, stored as ``dtype``: float32 rounds it as an

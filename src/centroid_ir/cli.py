@@ -25,7 +25,7 @@ from .retrieval import (DEFAULT_K, build_corpus_index, hybrid, load_questions,
                         rerank, retrieve)
 from .runs import read_run, write_run
 from .rwmd import SCORERS
-from .text import default_stopwords, load_stopwords, tokenize
+from .text import default_stopwords, load_stopwords
 
 
 def _log(message: str) -> None:
@@ -130,6 +130,10 @@ def _load_stopword_set(ns):
 
 
 def cmd_build_index(ns) -> int:
+    idf_flags = [flag for flag in ("--compute-idf", "--idf-file", "--idf-out")
+                 if getattr(ns, flag[2:].replace("-", "_"))]
+    if ns.mode == "cent" and idf_flags:
+        raise ConfigMismatch(f"mode cent weights no word by IDF; drop {idf_flags[0]}")
     t0 = time.perf_counter()
     store = emb.load_embeddings(ns.embeddings)
     _log(f"load embeddings: {time.perf_counter() - t0:.3f} s")
@@ -139,9 +143,8 @@ def cmd_build_index(ns) -> int:
         store.set_idf(*emb.load_idf(ns.idf_file))
     elif compute_idf and not ns.compute_idf:
         raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")
-    documents = list(iter_corpus(ns.corpus))
-    index = build_corpus_index(documents, store, mode=ns.mode, stopwords=stopwords,
-                               compute_idf=compute_idf)
+    index = build_corpus_index(iter_corpus(ns.corpus), store, mode=ns.mode,
+                               stopwords=stopwords, compute_idf=compute_idf)
     if ns.engine == "ann":
         index.build_forest(n_trees=ns.trees, leaf_cap=ns.leaf_cap, seed=ns.seed)
     if compute_idf:
@@ -230,8 +233,8 @@ def cmd_evaluate(ns) -> int:
 
 def cmd_idf(ns) -> int:
     stopwords = _load_stopword_set(ns)
-    docs = (tokenize(record.text, stopwords) for record in iter_corpus(ns.corpus))
-    idf, n_docs = emb.compute_idf(docs)
+    texts = (record.text for record in iter_corpus(ns.corpus))
+    idf, n_docs = emb.idf_of(*emb.text_ids(texts, stopwords))
     emb.save_idf(ns.out, idf, n_docs)
     _log(f"idf over {n_docs} documents, {len(idf)} tokens -> {ns.out}")
     return 0

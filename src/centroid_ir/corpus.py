@@ -53,12 +53,17 @@ def iter_corpus(path) -> Iterator[DocumentRecord]:
 
     Each line is an object with fields ``id``, ``title``, ``abstract``;
     other fields are ignored.  A missing or null title or abstract reads
-    as ``""``; any other non-string one raises :class:`ParseError`.
+    as ``""``; any other non-string one raises :class:`ParseError`, and a
+    repeated id :class:`DuplicateId`.
     """
+    seen: set[str] = set()
     for line_no, obj in _json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj:
             raise ParseError("document object lacks an 'id' field", line_no=line_no, path=path)
         doc_id = record_id(obj, line_no, path)
+        if doc_id in seen:
+            raise DuplicateId(f"{path}: line {line_no}: repeated document id {doc_id!r}")
+        seen.add(doc_id)
         title, abstract = ("" if obj.get(key) is None else obj[key]
                            for key in ("title", "abstract"))
         if not (isinstance(title, str) and isinstance(abstract, str)):
@@ -68,10 +73,5 @@ def iter_corpus(path) -> Iterator[DocumentRecord]:
 
 
 def load_corpus(path) -> dict[str, DocumentRecord]:
-    """Read a whole corpus into an id-keyed map, rejecting duplicate ids."""
-    docs: dict[str, DocumentRecord] = {}
-    for record in iter_corpus(path):
-        if record.id in docs:
-            raise DuplicateId(f"duplicate document id {record.id!r} in {path}")
-        docs[record.id] = record
-    return docs
+    """Read a whole corpus into an id-keyed map."""
+    return {record.id: record for record in iter_corpus(path)}

@@ -1,8 +1,8 @@
-"""Word-embedding storage plus corpus IDF statistics.
+"""Word-embedding storage, the mapping of texts to word ids, and corpus IDF.
 
 The store maps tokens to rows of a dense float32 matrix, loaded from a
 plain-text embedding file, and optionally carries per-token inverse
-document frequencies computed over a tokenized corpus:
+document frequencies computed over a corpus:
 
     idf(w) = ln(n_docs / df(w))
 
@@ -11,17 +11,16 @@ df >= 1 for every token that was observed, idf is always finite and
 non-negative; tokens never observed in the corpus default to
 ln(n_docs), the value a df = 1 token would get.
 
-The table ``idf`` is keyed by token and covers out-of-vocabulary tokens
-too; ``idf_rows`` is the float64 vector over vocabulary rows that the
-centroid arithmetic reads, and that a ``centidf`` index built from the
-store takes over, so a store loaded to search it needs no IDF.
-:meth:`EmbeddingStore.rows_many` maps token lists to rows, for one text
-(:meth:`EmbeddingStore.rows`) or a whole corpus, and
-:meth:`EmbeddingStore.text_rows` maps raw texts the same way, as
-:func:`~centroid_ir.text.tokenize` would filter them, with one dictionary
-lookup per word.  ``row_sq_norms`` holds every row's squared norm in
-float64 for the RWMD kernel.  :meth:`EmbeddingStore.fingerprint`
-identifies the vectors an index was built from, with a centidf index's weights.
+:func:`text_ids` is the one route from text to words: it splits each
+text, numbers the distinct words, and applies the keep rule once per
+distinct word.  Its ids feed :func:`idf_of` and, through
+:meth:`EmbeddingStore.id_rows`, the vocabulary rows that centroids and
+RWMD read.  ``idf`` is keyed by token and covers out-of-vocabulary
+tokens too; ``idf_rows`` is the float64 vector over vocabulary rows,
+which a ``centidf`` index built from the store takes over.
+``row_sq_norms`` holds every row's squared norm in float64 for the RWMD
+kernel, and :meth:`EmbeddingStore.fingerprint` identifies the vectors
+an index was built from.
 """
 
 from __future__ import annotations
@@ -30,22 +29,14 @@ import hashlib
 import itertools
 import math
 import struct
-from collections import Counter
+from collections import defaultdict
 from functools import cached_property
-from typing import Iterable, Mapping, NoReturn
+from typing import Collection, Iterable, NoReturn
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, open_text
 from .text import kept, words
-
-# EmbeddingStore.text_rows builds its lookup from the whole vocabulary
-# once the texts hold this many characters per vocabulary word.  On the
-# 4 113 rerank-batch documents (2.4M characters), collecting their
-# distinct words and filtering the vocabulary cost the same at about
-# V = 120 000, 20 characters per word; the lower value leans towards the
-# vocabulary, which lets the texts stream instead of holding their words.
-_CHARS_PER_VOCAB_WORD = 16
 
 # Rows per float64 copy in ``row_sq_norms``.  Kept small: the norms are
 # computed inside the first rerank, beside its other buffers, and a larger
@@ -85,40 +76,21 @@ class EmbeddingStore:
 
     def rows(self, tokens: list[str]) -> np.ndarray:
         """Vocabulary rows of the in-vocabulary ``tokens``, in order."""
-        return self.rows_many([tokens])[0]
+        return np.array([self.vocab[t] for t in tokens if t in self.vocab], dtype=np.intp)
 
-    def rows_many(self, texts: Iterable[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`rows` of every token list, concatenated, and their bounds.
-
-        Text i's rows are ``rows[bounds[i]:bounds[i + 1]]``; ``bounds``
-        has one entry more than there are texts and starts at 0.  The
-        texts are read once, so a generator need not hold them all.
-        """
-        return _map_rows(self.vocab, texts)
+    def id_rows(self, distinct: list[str], ids: np.ndarray,
+                bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vocabulary rows of word ids as :func:`text_ids` gives them,
+        out-of-vocabulary words dropped, and the texts' bounds in them."""
+        lut = np.fromiter(map(self.vocab.get, distinct, itertools.repeat(-1)), np.intp,
+                          count=len(distinct))
+        return _gather(lut, ids, bounds)
 
     def text_rows(self, texts: Iterable[str],
                   stopwords: frozenset[str] | set[str]) -> tuple[np.ndarray, np.ndarray]:
-        """``rows_many(tokenize(text, stopwords) for text in texts)``, with
-        one dictionary lookup per word.
-
-        The lookup holds the in-vocabulary words that
-        :func:`~centroid_ir.text.kept` keeps, so a dropped word maps like
-        an out-of-vocabulary one.  It is built from the texts' distinct
-        words or, once the texts hold ``_CHARS_PER_VOCAB_WORD`` characters
-        per vocabulary word, from the whole vocabulary, which then costs
-        less; either way a call costs O(characters), whatever the size of
-        the vocabulary.  Only the first way holds all the texts' words at
-        once.
-        """
-        texts = list(texts)
-        vocab = self.vocab
-        if sum(map(len, texts)) < _CHARS_PER_VOCAB_WORD * len(vocab):
-            word_lists = [words(text) for text in texts]
-            candidates = vocab.keys() & set(itertools.chain.from_iterable(word_lists))
-        else:
-            word_lists, candidates = map(words, texts), vocab
-        lookup = {word: vocab[word] for word in kept(candidates, stopwords)}
-        return _map_rows(lookup, word_lists)
+        """Each text's ``rows(tokenize(text, stopwords))``, concatenated, and
+        the texts' bounds in them; the texts are read once."""
+        return self.id_rows(*text_ids(texts, stopwords))
 
     @cached_property
     def row_sq_norms(self) -> np.ndarray:
@@ -176,40 +148,60 @@ class EmbeddingStore:
         return idf
 
 
-def _map_rows(lookup: Mapping[str, int],
-              texts: Iterable[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``lookup`` gives every token of every text, concatenated,
-    with tokens it lacks dropped, and the texts' bounds in that array."""
+def _numbered(token_lists: Iterable[list[str]]) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Number the distinct tokens from 0 in first-seen order, in C; return
+    the numbering, every token's number, and each list's bounds in those.
+    The lists are read once, one at a time."""
+    numbers = defaultdict(itertools.count().__next__)
     lengths = [0]
 
-    def token_lists():
-        for tokens in texts:
+    def counted():
+        for tokens in token_lists:
             lengths.append(len(tokens))
             yield tokens
 
-    tokens = itertools.chain.from_iterable(token_lists())
-    found = np.fromiter(map(lookup.get, tokens, itertools.repeat(-1)), np.intp)
+    ids = np.fromiter(map(numbers.__getitem__, itertools.chain.from_iterable(counted())),
+                      np.intp)
+    return numbers, ids, np.cumsum(lengths, dtype=np.intp)
+
+
+def _gather(lut: np.ndarray, ids: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``lut[ids]`` without its negative entries, and ``bounds`` shifted to match."""
+    found = lut[ids]
     missing = np.flatnonzero(found < 0)
-    bounds = np.cumsum(lengths, dtype=np.intp)
     return np.delete(found, missing), bounds - np.searchsorted(missing, bounds)
 
 
+def text_ids(texts: Iterable[str],
+             stopwords: frozenset[str] | set[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct words of ``texts`` that :func:`~centroid_ir.text.tokenize`
+    keeps, in first-seen order; their ids (indices into that list) in text
+    order; and each text's bounds in the ids.  The texts are read once."""
+    numbers, ids, bounds = _numbered(map(words, texts))
+    kept_words = kept(numbers, stopwords)
+    lut = np.full(len(numbers), -1, np.intp)
+    lut[[numbers[word] for word in kept_words]] = np.arange(len(kept_words))
+    return kept_words, *_gather(lut, ids, bounds)
+
+
+def idf_of(distinct: Collection[str], ids: np.ndarray,
+           bounds: np.ndarray) -> tuple[dict[str, float], int]:
+    """The IDF of each of the ``distinct`` words over the documents whose
+    word ids ``ids[bounds[i]:bounds[i + 1]]`` are, and the number of documents."""
+    n_docs, n_words = len(bounds) - 1, len(distinct)
+    # One key per (document, word), distinct while n_docs * n_words < 2**63.
+    keys = np.repeat(np.arange(n_docs, dtype=np.int64) * n_words, np.diff(bounds)) + ids
+    keys.sort()  # np.unique would hash, which is slower
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    df = np.bincount(keys[first] % n_words, minlength=n_words)
+    return {word: math.log(n_docs / n) for word, n in zip(distinct, df.tolist())}, n_docs
+
+
 def compute_idf(docs: Iterable[list[str]]) -> tuple[dict[str, float], int]:
-    """idf(w) = ln(n_docs / df(w)) over a stream of token lists.
-
-    Each document counts its distinct tokens once towards df.  Returns
-    the IDF map and the number of documents read, the pair that
-    :func:`load_idf` returns.  An empty stream yields ``({}, 0)``.
-    """
-    n_docs = 0
-
-    def token_sets():
-        nonlocal n_docs
-        for n_docs, tokens in enumerate(docs, start=1):
-            yield set(tokens)
-
-    df = Counter(itertools.chain.from_iterable(token_sets()))
-    return {token: math.log(n_docs / n) for token, n in df.items()}, n_docs
+    """IDF over a stream of token lists, read once, and the number of
+    documents, as :func:`load_idf` returns them; ``({}, 0)`` for none."""
+    return idf_of(*_numbered(docs))
 
 
 def load_embeddings(path) -> EmbeddingStore:

@@ -12,14 +12,14 @@ The building blocks compose into the named systems:
 * ``hybrid`` combines two runs: a question falls back to the second
   run's list exactly when the first run returned nothing for it.
 
-Each of ``retrieve`` and ``rerank`` maps all its question texts to
-vocabulary rows in one :meth:`EmbeddingStore.text_rows` call, which
-applies the tokenizer's keep rule to a per-call lookup instead of to
-every token, then answers the questions one after another on the
-calling thread; exact scoring's parallelism is the BLAS library's own.  Only
-:func:`build_corpus_index` runs :func:`tokenize`, because IDF counts
-out-of-vocabulary tokens too.  Both raise :class:`ConfigMismatch` when
-the embeddings differ from those an index was built with.
+Text reaches vocabulary rows by one route, :func:`text_ids`: each of
+``retrieve`` and ``rerank`` maps all its question texts in one
+:meth:`EmbeddingStore.text_rows` call, and :func:`build_corpus_index`
+takes the corpus IDF and the documents' rows from one pass over their
+texts.  The questions are then answered one after another on the
+calling thread; exact scoring's parallelism is the BLAS library's own.
+Both raise :class:`ConfigMismatch` when the embeddings differ from those
+an index was built with.
 """
 
 from __future__ import annotations
@@ -30,16 +30,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# centroid_idf, centroid_simple and embed_text are not called here, but
-# perfbench's tracer wraps them under these names, so they stay imported.
+# centroid_idf, centroid_simple, embed_text and tokenize are not called here,
+# but perfbench's tracer wraps them under these names, so they stay imported.
 from .centroids import _idf_rows, centroid_idf, centroid_matrix, centroid_simple  # noqa: F401
 from .corpus import DocumentRecord, _json_lines, record_id
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, idf_of, text_ids
 from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
 from .index import MODES, CentroidIndex
 from .runs import RankedRun
 from .rwmd import SCORERS, EmbeddedText, embed_text, rwmd_many  # noqa: F401
-from .text import default_stopwords, tokenize
+from .text import default_stopwords, tokenize  # noqa: F401
 
 DEFAULT_K = 1000
 
@@ -171,11 +171,10 @@ def rerank(
     :class:`ConfigMismatch` when ``store`` does not match its
     fingerprint; the store's IDF is not read.  From records, the distinct
     reranked documents' texts are mapped to vocabulary rows once, up
-    front, in one :meth:`EmbeddingStore.text_rows` call; the rows are
-    those of :func:`tokenize`'s tokens.  Either way the same scoring
-    follows: the questions are mapped in one call and their float64
-    vectors gathered once, and each question takes one matrix product
-    against its documents' vocabulary (:func:`rwmd_many`).
+    front, in one :meth:`EmbeddingStore.text_rows` call.  Either way the
+    same scoring follows: the questions are mapped in one call and their
+    float64 vectors gathered once, and each question takes one matrix
+    product against its documents' vocabulary (:func:`rwmd_many`).
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -275,7 +274,8 @@ def build_corpus_index(
     stopwords: frozenset[str] | None = None,
     compute_idf: bool = False,
 ) -> CentroidIndex:
-    """Tokenize a corpus, centroid every document, and index the result.
+    """Map a corpus to word ids in one pass, centroid every document, and
+    index the result.
 
     With ``compute_idf`` the store's IDF table is (re)computed from this
     corpus before the centroids are taken; otherwise the store must
@@ -288,16 +288,21 @@ def build_corpus_index(
     if stopwords is None:
         stopwords = default_stopwords()
     centidf = mode == "centidf"
-    records = list(documents)
-    tokenized = [tokenize(record.text, stopwords) for record in records]
+    doc_ids: list[str] = []
+
+    def texts():
+        for record in documents:
+            doc_ids.append(record.id)
+            yield record.text
+
+    words, ids, bounds = text_ids(texts(), stopwords)
     if compute_idf:
-        store.compute_idf(tokenized)
-    if centidf and store.idf_rows is None and not records:  # read without IDF
+        store.set_idf(*idf_of(words, ids, bounds))
+    if centidf and store.idf_rows is None and not doc_ids:  # read without IDF
         return CentroidIndex.from_matrix([], np.zeros((0, store.dim)), mode=mode)
     idf_rows = _idf_rows(store) if centidf else None
-    rows, bounds = store.rows_many(tokenized)
-    del tokenized  # the token lists are not needed for the centroids
+    rows, bounds = store.id_rows(words, ids, bounds)
     matrix = centroid_matrix(rows, bounds, store, idf_rows)
     return CentroidIndex.from_matrix(
-        [record.id for record in records], matrix, mode=mode, rows=rows, bounds=bounds,
+        doc_ids, matrix, mode=mode, rows=rows, bounds=bounds,
         vocab_size=len(store), fingerprint=store.fingerprint(idf_rows), idf_rows=idf_rows)

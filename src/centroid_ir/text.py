@@ -5,10 +5,9 @@ vector arithmetic, so they pin down the vocabulary seen by the rest of
 the pipeline.  The rules are deliberately simple and reproducible:
 lowercase, split on anything that is not a letter or digit (:func:`words`),
 drop stop words and single-digit tokens (:func:`kept`).  No stemming, no
-lemmatization.  :func:`tokenize` applies both halves to one text;
-:meth:`EmbeddingStore.text_rows` applies :func:`kept` once per distinct
-word (or vocabulary word) and then maps each text's words straight to
-vocabulary rows.
+lemmatization.  :func:`tokenize` applies both to one text, the per-text
+reference; :func:`~centroid_ir.embeddings.text_ids`, which maps every
+text of the pipeline, applies :func:`kept` once per distinct word.
 
 A separator is any character for which ``str.isalnum()`` is false (the
 regular expression ``[^\\W_]+`` picks out the same tokens).  The split is

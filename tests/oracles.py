@@ -10,6 +10,7 @@ match bit for bit.
 import heapq
 import math
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -232,6 +233,17 @@ def brute_tokenize(text, stopwords=frozenset()):
             continue
         tokens.append(token)
     return tokens
+
+
+def brute_compute_idf(token_lists):
+    """``(idf, n_docs)`` with idf(w) = ln(n_docs / df(w)), df counted by a
+    Counter over each document's set of tokens."""
+    df = Counter()
+    n_docs = 0
+    for tokens in token_lists:
+        n_docs += 1
+        df.update(set(tokens))
+    return {token: math.log(n_docs / n) for token, n in df.items()}, n_docs
 
 
 def brute_rwmd_many(q, docs, store, method="rwmd_q"):

@@ -21,3 +21,11 @@ def random_store(rng: np.random.Generator, n_words: int, dim: int) -> EmbeddingS
     matrix = rng.normal(size=(n_words, dim)).astype(np.float32)
     vocab = {w: i for i, w in enumerate(words)}
     return EmbeddingStore(vocab, matrix)
+
+
+def stacked_rows(store: EmbeddingStore, token_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Each token list's ``store.rows``, concatenated, and their bounds: the
+    per-text reference for the package's one-pass mapping."""
+    per_text = [store.rows(tokens) for tokens in token_lists]
+    bounds = np.cumsum([0] + [len(rows) for rows in per_text], dtype=np.intp)
+    return np.concatenate([np.zeros(0, np.intp), *per_text]), bounds

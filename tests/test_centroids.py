@@ -7,7 +7,7 @@ from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
                          EmbeddingStore, StateError, build_corpus_index,
                          centroid_idf, centroid_simple, cosine, tokenize)
 from centroid_ir.centroids import centroid_matrix
-from stores import make_store, random_store
+from stores import make_store, random_store, stacked_rows
 from oracles import brute_centroid
 
 
@@ -218,16 +218,16 @@ class TestBruteCentroidOracle:
         want = [brute_centroid(tokens, vectors, table, n_docs)[0] for tokens in kept]
 
         idf_rows = store.idf_rows if mode == "centidf" else None
-        matrix = centroid_matrix(*store.rows_many(kept), store, idf_rows)
+        matrix = centroid_matrix(*stacked_rows(store, kept), store, idf_rows)
         assert matrix.tobytes() == per_text.astype(np.float32).tobytes()
-        exact = centroid_matrix(*store.rows_many(kept), store, idf_rows, dtype=np.float64)
+        exact = centroid_matrix(*stacked_rows(store, kept), store, idf_rows, dtype=np.float64)
         assert exact.tobytes() == per_text.tobytes()
         np.testing.assert_allclose(per_text, want, rtol=0, atol=1e-12)
 
         records = [DocumentRecord(f"d{i}", "", " ".join(tokens))
                    for i, tokens in enumerate(texts)]
         index = build_corpus_index(records, store, mode=mode, stopwords=stop)
-        rows, bounds = store.rows_many(kept)
+        rows, bounds = stacked_rows(store, kept)
         assert index.rows.tolist() == rows.tolist() and index.bounds.tolist() == bounds.tolist()
         assert (index.vocab_size, index.fingerprint) == (
             len(store), store.fingerprint(idf_rows))

@@ -37,12 +37,13 @@ def workspace(tmp_path):
 
 
 def build(ws, out="index.crvi", *extra):
+    idf = [] if "cent" in extra else ["--compute-idf"]  # mode cent refuses IDF options
     return main(["build-index",
                  "--embeddings", str(ws / "vectors.txt"),
                  "--corpus", str(ws / "corpus.jsonl"),
                  "--out", str(ws / out),
                  "--trees", "4", "--leaf-cap", "2", "--seed", "7",
-                 "--compute-idf", *extra])
+                 *idf, *extra])
 
 
 class TestBuildIndex:
@@ -94,6 +95,27 @@ class TestBuildIndex:
         corpus.write_text(corpus.read_text() +
                           json.dumps({"id": "d1", "title": "x", "abstract": "y"}) + "\n")
         assert build(workspace) == 3
+
+    @pytest.mark.parametrize("command", ["build-index", "idf"])
+    def test_duplicate_doc_names_file_and_line(self, workspace, capsys, command):
+        corpus = workspace / "corpus.jsonl"
+        corpus.write_text(corpus.read_text() +
+                          json.dumps({"id": "d1", "title": "x", "abstract": "y"}) + "\n")
+        argv = {"build-index": ["--embeddings", str(workspace / "vectors.txt"),
+                                "--compute-idf"],
+                "idf": []}[command]
+        code = main([command, "--corpus", str(corpus), "--out", str(workspace / "out"), *argv])
+        assert code == 3
+        assert f"error: {corpus}: line 4: repeated document id 'd1'" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("option", [["--compute-idf"], ["--idf-file", "nonexistent.idf"],
+                                        ["--idf-out", "x.idf"]])
+    def test_cent_mode_refuses_idf_options(self, workspace, capsys, option):
+        code = build(workspace, "cent.crvi", "--mode", "cent", *option)
+        assert code == 3
+        assert f"mode cent weights no word by IDF; drop {option[0]}" in capsys.readouterr().err
+        assert not (workspace / "cent.crvi").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--leaf-cap", str(2**32)), ("--seed", str(2**64))])

@@ -13,10 +13,10 @@ from centroid_ir import (DimensionMismatch, DocumentRecord, EmbeddingStore,
                          centroid_idf, compute_idf,
                          default_stopwords, load_embeddings, load_idf,
                          save_idf, tokenize)
-from centroid_ir.embeddings import _NORM_CHUNK
-from centroid_ir.text import kept
-from stores import make_store
-from oracles import brute_load_embeddings
+from centroid_ir.embeddings import _NORM_CHUNK, text_ids
+from centroid_ir.text import words
+from stores import make_store, stacked_rows
+from oracles import brute_compute_idf, brute_load_embeddings, brute_tokenize
 
 
 def _write(tmp_path, content):
@@ -200,102 +200,110 @@ class TestStoreRows:
         store = EmbeddingStore({"b": 1, "a": 0}, np.eye(2, dtype=np.float32))
         assert store.rows(["a", "b"]).tolist() == [0, 1]
 
-    def test_rows_many_equals_rows_per_text(self):
+    def test_rows_are_the_in_vocabulary_tokens(self):
         rng = np.random.default_rng(23)
         words = [f"w{i}" for i in range(12)]
         store = EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(12))},
                                rng.normal(size=(12, 3)).astype(np.float32))
         pool = words + ["oov1", "oov2"]
         texts = [rng.choice(pool, size=rng.integers(0, 15)).tolist() for _ in range(60)]
-        texts += [[], ["oov1", "oov2"]]
-        rows, bounds = store.rows_many(texts)
-        assert rows.dtype == bounds.dtype == np.intp
-        assert bounds[0] == 0 and bounds[-1] == len(rows) and len(bounds) == len(texts) + 1
-        for i, text in enumerate(texts):
+        for text in texts + [[], ["oov1", "oov2"]]:
             want = [store.vocab[t] for t in text if t in store.vocab]
-            assert rows[bounds[i]:bounds[i + 1]].tolist() == want
             assert store.rows(text).tolist() == want
             assert store.rows(text).dtype == np.intp
-
-    def test_rows_many_of_no_texts(self):
-        store = EmbeddingStore({"a": 0}, np.eye(1, dtype=np.float32))
-        rows, bounds = store.rows_many([])
-        assert rows.size == 0
-        assert bounds.tolist() == [0]
 
 
 # Vocabulary words that tokenize drops (stop words, single Unicode
 # digits), words a split never yields (uppercase, "İ"), multi-digit
-# tokens, and plain words.
+# tokens, non-BMP letters, and plain words.
 _ADVERSARIAL_VOCAB = [
     "the", "of", "cell", "cells", "7", "\u00b2", "\u0663", "\U0001d7d5", "12", "\u0663\u0663",
     "x\u00b2", "Cell", "CELL", "\u0130", "i", "stanbul", "i\u0307", "gene", "name", "p53",
-    "stra\u00dfe", "\u2166", "\u2170", "",
+    "stra\u00dfe", "\u2166", "\u2170", "", "\u0661", "\u2460", "\U0001d400", "\U00010428",
+    "\U00010428x",
 ]
 _ADVERSARIAL_TEXTS = [
     "", "   \t\n", "The cell OF cells", "7 \u00b2 \u0663 \U0001d7d5 12 \u0663\u0663 x\u00b2 77",
     "\u0130stanbul \u0130 i I", "gene_name p53-mediated, CELL!", "unknown words only",
     "the of the", "STRASSE Stra\u00dfe \u2166 \u2170", "a\x1cb\x85c\u2028cell\u3000gene\ud800name",
+    "\u0661 \u2460 \u00b2\u2460 \U0001d400 \U00010400 \U00010400X \U00010428", "THE Of tHe CELLS",
 ]
 
 
-def _adversarial_store(n_filler):
-    """The adversarial vocabulary plus ``n_filler`` words no text uses,
-    on permuted rows."""
+def _adversarial_store(vocab):
+    """A store of ``vocab`` on permuted rows."""
     rng = np.random.default_rng(29)
-    vocab = _ADVERSARIAL_VOCAB + [f"filler{i}" for i in range(n_filler)]
     return EmbeddingStore(dict(zip(vocab, rng.permutation(len(vocab)).tolist())),
                           rng.normal(size=(len(vocab), 3)).astype(np.float32))
 
 
 class TestTextRows:
-    """text_rows against rows_many(tokenize(...)), the two-step path it
-    replaces, with the lookup built from the whole vocabulary and from
-    the texts' distinct words."""
+    """text_rows against the per-text reference ``store.rows(tokenize(...))``,
+    over the adversarial vocabulary and over every word the adversarial
+    texts split into, so that only the keep rule drops a word."""
 
-    @pytest.fixture(params=[0, 10**9], ids=["from-vocab", "from-texts"])
-    def store(self, request, monkeypatch):
-        monkeypatch.setattr("centroid_ir.embeddings._CHARS_PER_VOCAB_WORD", request.param)
-        return _adversarial_store(0)
+    @pytest.fixture(params=["from-vocab", "from-texts"])
+    def store(self, request):
+        if request.param == "from-vocab":
+            return _adversarial_store(_ADVERSARIAL_VOCAB)
+        return _adversarial_store(list(dict.fromkeys(
+            word for text in _ADVERSARIAL_TEXTS for word in words(text))))
+
+    @staticmethod
+    def check(store, texts, stop):
+        want_rows, want_bounds = stacked_rows(store, (tokenize(t, stop) for t in texts))
+        rows, bounds = store.text_rows(iter(texts), stop)
+        assert rows.dtype == bounds.dtype == np.intp
+        assert rows.tolist() == want_rows.tolist()
+        assert bounds.tolist() == want_bounds.tolist()
 
     @pytest.mark.parametrize("stop", [frozenset(), frozenset({"the", "of", "12", "cell"}),
                                       default_stopwords()])
     def test_adversarial_texts(self, store, stop):
-        want_rows, want_bounds = store.rows_many(tokenize(t, stop) for t in _ADVERSARIAL_TEXTS)
-        rows, bounds = store.text_rows(_ADVERSARIAL_TEXTS, stop)
-        assert rows.dtype == bounds.dtype == np.intp
-        assert rows.tolist() == want_rows.tolist()
-        assert bounds.tolist() == want_bounds.tolist()
+        self.check(store, _ADVERSARIAL_TEXTS, stop)
 
     def test_random_texts(self, store):
         rng = np.random.default_rng(31)
         pieces = _ADVERSARIAL_VOCAB + ["THE", "Of", "oov", "-", " ", ",", "_", "\u0130"]
         texts = ["".join(rng.choice(pieces, size=rng.integers(0, 20))) for _ in range(200)]
         texts += [" ".join(rng.choice(pieces, size=rng.integers(0, 20))) for _ in range(200)]
-        stop = {"the", "of", "gene"}
-        want_rows, want_bounds = store.rows_many(tokenize(t, stop) for t in texts)
-        rows, bounds = store.text_rows(iter(texts), stop)
-        assert rows.tolist() == want_rows.tolist()
-        assert bounds.tolist() == want_bounds.tolist()
+        self.check(store, texts, {"the", "of", "gene", "\U00010428"})
 
     def test_no_texts(self, store):
         rows, bounds = store.text_rows([], frozenset())
         assert rows.size == 0
         assert bounds.tolist() == [0]
 
-    @pytest.mark.parametrize("n_filler, filtered", [
-        (10_000, ["cell", "cells", "gene", "of", "the"]),   # 30 characters, V = 10 024
-        (0, sorted(_ADVERSARIAL_VOCAB)),                    # 30 characters, V = 24
-    ])
-    def test_lookup_source_follows_text_length(self, monkeypatch, n_filler, filtered):
-        store = _adversarial_store(n_filler)
-        seen = []
-        monkeypatch.setattr("centroid_ir.embeddings.kept",
-                            lambda words, stop: seen.append(sorted(words)) or kept(words, stop))
-        monkeypatch.setattr("centroid_ir.embeddings._CHARS_PER_VOCAB_WORD", 1)
-        rows, _ = store.text_rows(["The cell of cells", "gene CELL oov"], {"the"})
-        assert seen == [filtered]
-        assert rows.tolist() == store.rows(["cell", "of", "cells", "gene", "cell"]).tolist()
+
+class TestTextIds:
+    """text_ids against tokenize, text by text."""
+
+    @pytest.mark.parametrize("stop", [frozenset(), default_stopwords()])
+    def test_ids_spell_the_tokens(self, stop):
+        kept_words, ids, bounds = text_ids(_ADVERSARIAL_TEXTS, stop)
+        assert ids.dtype == bounds.dtype == np.intp
+        assert len(bounds) == len(_ADVERSARIAL_TEXTS) + 1
+        for i, text in enumerate(_ADVERSARIAL_TEXTS):
+            assert [kept_words[j] for j in ids[bounds[i]:bounds[i + 1]]] == tokenize(text, stop)
+        # Distinct words, numbered in first-seen order.
+        assert kept_words == list(dict.fromkeys(
+            token for text in _ADVERSARIAL_TEXTS for token in tokenize(text, stop)))
+
+    def test_reads_a_one_shot_generator_once(self):
+        reads = []
+
+        def texts():
+            for text in _ADVERSARIAL_TEXTS:
+                reads.append(text)
+                yield text
+
+        stream = texts()
+        got = text_ids(stream, frozenset())
+        assert reads == _ADVERSARIAL_TEXTS
+        assert next(stream, None) is None
+        want = text_ids(_ADVERSARIAL_TEXTS, frozenset())
+        assert got[0] == want[0]
+        assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
 
 
 class TestRowSqNorms:
@@ -442,6 +450,31 @@ class TestComputeIdf:
                 if df[w1] < df[w2]:
                     assert idf[w1] > idf[w2]
         assert all(v >= 0.0 for v in idf.values())
+
+
+    @pytest.mark.parametrize("n_docs", [0, 1, 7, 80])
+    def test_matches_counter_oracle(self, n_docs):
+        # Empty documents, repeated tokens, single digits, non-ASCII words.
+        rng = np.random.default_rng(n_docs)
+        pool = ["w", "x", "7", "\u00b2", "12", "b\u00fcro", "\u0130", "\U0001d400", "", "w w"]
+        docs = [rng.choice(pool, size=rng.integers(0, 12)).tolist() for _ in range(n_docs)]
+        docs[:2] = [[], ["x", "x", "x"]][:n_docs]
+        want = brute_compute_idf(docs)
+        assert compute_idf(docs) == want
+        assert compute_idf(iter(docs)) == want
+
+    @pytest.mark.parametrize("n_docs", [0, 1, 60])
+    def test_build_corpus_index_matches_counter_oracle(self, n_docs):
+        rng = np.random.default_rng(n_docs)
+        pieces = _ADVERSARIAL_VOCAB + ["THE", "Of", "oov", "-", " ", ",", "_", "\u0130"]
+        texts = [" ".join(rng.choice(pieces, size=rng.integers(0, 15))) for _ in range(n_docs)]
+        texts[:2] = ["", "the of THE 7"][:n_docs]
+        store = _adversarial_store(_ADVERSARIAL_VOCAB)
+        stop = default_stopwords()
+        records = [DocumentRecord(f"d{i}", "", text) for i, text in enumerate(texts)]
+        build_corpus_index(records, store, mode="centidf", stopwords=stop, compute_idf=True)
+        want = brute_compute_idf([brute_tokenize(text, stop) for text in texts])
+        assert (store.idf, store.n_docs) == want
 
 
 class TestIdfLookup:

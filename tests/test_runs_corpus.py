@@ -142,6 +142,19 @@ class TestCorpus:
         with pytest.raises(DuplicateId):
             load_corpus(path)
 
+    def test_duplicate_id_streamed_names_file_and_line(self, tmp_path):
+        path = self.write_corpus(tmp_path, [
+            {"id": "d1", "title": "x", "abstract": "y"},
+            {"id": "d2", "title": "x", "abstract": "y"},
+            {"id": 1, "title": "x", "abstract": "y"},
+            {"id": "1", "title": "x", "abstract": "y"},
+        ])
+        records = iter_corpus(path)
+        assert [next(records).id for _ in range(3)] == ["d1", "d2", "1"]
+        with pytest.raises(DuplicateId, match=f"^{re.escape(str(path))}: line 4: "
+                                              "repeated document id '1'$"):
+            next(records)
+
     def test_bad_json_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d1", "title": "t", "abstract": "a"}\nnot json\n')

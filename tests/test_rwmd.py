@@ -7,7 +7,7 @@ from centroid_ir import (DimensionMismatch, EmbeddingStore, embed_text, rwmd_d,
                          rwmd_max, rwmd_q)
 from centroid_ir.rwmd import SCORERS, EmbeddedText, rwmd_many
 from oracles import brute_rwmd_many
-from stores import random_store
+from stores import random_store, stacked_rows
 
 
 def embedded(*pairs, dim=2):
@@ -204,7 +204,7 @@ class TestRwmdManyMatchesBrute:
             # The questions' vectors come from one gather, sliced per question.
             questions = [rng.choice(words, size=int(rng.integers(0, 8))).tolist()
                          for _ in range(4)]
-            q_rows, q_bounds = store.rows_many(questions)
+            q_rows, q_bounds = stacked_rows(store, questions)
             q_matrix = store.matrix[q_rows].astype(np.float64)
             docs = self.random_docs(rng, store, int(rng.integers(0, 15)))[:depth]
             for lo, hi in zip(q_bounds[:-1], q_bounds[1:]):
