@@ -134,12 +134,15 @@ def cmd_build_index(ns) -> int:
                  if getattr(ns, flag[2:].replace("-", "_"))]
     if ns.mode == "cent" and idf_flags:
         raise ConfigMismatch(f"mode cent weights no word by IDF; drop {idf_flags[0]}")
+    if ns.idf_file and len(idf_flags) > 1:
+        dropped = next(flag for flag in idf_flags if flag != "--idf-file")
+        raise ConfigMismatch(f"--idf-file gives the IDF weights; drop {dropped}")
     t0 = time.perf_counter()
     store = emb.load_embeddings(ns.embeddings)
     _log(f"load embeddings: {time.perf_counter() - t0:.3f} s")
     stopwords = _load_stopword_set(ns)
     compute_idf = ns.mode == "centidf" and not ns.idf_file
-    if ns.mode == "centidf" and ns.idf_file:
+    if ns.idf_file:
         store.set_idf(*emb.load_idf(ns.idf_file))
     elif compute_idf and not ns.compute_idf:
         raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")

@@ -21,17 +21,27 @@ which a ``centidf`` index built from the store takes over.
 ``row_sq_norms`` holds every row's squared norm in float64 for the RWMD
 kernel, and :meth:`EmbeddingStore.fingerprint` identifies the vectors
 an index was built from.
+
+:func:`load_embeddings` parses a text file once: it writes the store,
+as the canonical bytes the fingerprint hashes, to a cache ``<path>.crvs``
+beside it, keyed by the text's SHA-256, and a later load of the same
+bytes reads that cache instead of the text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
+import os
+import stat
 import struct
+import tempfile
 from collections import defaultdict
 from functools import cached_property
-from typing import Collection, Iterable, NoReturn
+from typing import Collection, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -42,6 +52,14 @@ from .text import kept, words
 # computed inside the first rerank, beside its other buffers, and a larger
 # copy raised the benchmark's peak memory.
 _NORM_CHUNK = 256
+
+# An embedding cache file: this header (magic, version, the SHA-256 of the
+# text file it was parsed from, the SHA-256 of the body), then the body,
+# the store's ``EmbeddingStore._sections``.
+_CACHE_HEADER = struct.Struct("<4sI32s32s")
+_CACHE_MAGIC, _CACHE_VERSION = b"CRVS", 1
+# Bytes per read of a text embedding file.
+_READ_CHUNK = 1 << 20
 
 
 class EmbeddingStore:
@@ -115,17 +133,24 @@ class EmbeddingStore:
             map(idf.get, self.vocab, itertools.repeat(default)), np.float64, count=n)
         self.idf_rows, self.idf, self.n_docs = idf_rows, idf, n_docs
 
-    @cached_property
-    def _digest(self) -> bytes:
-        """SHA-256 of V, dim, the tokens in row order (their lengths, then
-        their text) and the float32 matrix."""
+    def _sections(self) -> Iterator:
+        """The store's canonical bytes, a section at a time: V and dim as
+        ``<QQ``, the tokens' lengths in row order as ``<i8``, the UTF-8 of
+        the tokens in row order, and the ``<f4`` matrix."""
         tokens = [""] * len(self.vocab)
         for token, row in self.vocab.items():
             tokens[row] = token
-        digest = hashlib.sha256(struct.pack("<QQ", len(tokens), self.dim))
-        digest.update(np.fromiter(map(len, tokens), "<i8", count=len(tokens)))
-        digest.update("".join(tokens).encode("utf-8", "surrogatepass"))
-        digest.update(np.ascontiguousarray(self.matrix, "<f4"))
+        yield struct.pack("<QQ", len(tokens), self.dim)
+        yield np.fromiter(map(len, tokens), "<i8", count=len(tokens))
+        yield "".join(tokens).encode("utf-8", "surrogatepass")
+        yield np.ascontiguousarray(self.matrix, "<f4")
+
+    @cached_property
+    def _digest(self) -> bytes:
+        """SHA-256 of :meth:`_sections`."""
+        digest = hashlib.sha256()
+        for section in self._sections():
+            digest.update(section)
         return digest.digest()
 
     def fingerprint(self, idf_rows: np.ndarray | None = None) -> bytes:
@@ -205,7 +230,137 @@ def compute_idf(docs: Iterable[list[str]]) -> tuple[dict[str, float], int]:
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    """Parse a text embedding file into an :class:`EmbeddingStore`.
+    """Load a text embedding file, in the format :func:`_parse_embeddings`
+    reads, into an :class:`EmbeddingStore`, through a cache beside it.
+
+    A load that parses a regular file writes ``<path>.crvs``: a header
+    with the SHA-256 of the bytes parsed, then the store's canonical bytes
+    (:meth:`EmbeddingStore._sections`, which the fingerprint hashes).  A
+    later load of a file with the same SHA-256 reads the cache instead, and
+    returns a store equal to the parsed one: the same vocabulary in the
+    same row order, the same matrix bytes and the same fingerprint.  A
+    cache that is stale, truncated or corrupt is ignored and rewritten;
+    one that cannot be written (an ``OSError``) is skipped.
+    """
+    cache = f"{os.fspath(path)}.crvs"
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = 0  # the parser raises for a missing file
+    if not stat.S_ISREG(mode):
+        return _parse_embeddings(path, hashlib.sha256())
+    store = _read_cache(cache, path)
+    if store is None:
+        source = hashlib.sha256()
+        store = _parse_embeddings(path, source)
+        _write_cache(cache, source.digest(), store, mode & 0o666)
+    return store
+
+
+def _read_cache(cache, path) -> EmbeddingStore | None:
+    """The store in the cache file ``cache`` if it was written from the
+    bytes ``path`` holds now and passes every check, else None."""
+    try:
+        with open(cache, "rb") as fh:
+            header = fh.read(_CACHE_HEADER.size)
+            if len(header) != _CACHE_HEADER.size:
+                return None
+            magic, version, source, body = _CACHE_HEADER.unpack(header)
+            if (magic, version) != (_CACHE_MAGIC, _CACHE_VERSION) or source != _file_sha256(path):
+                return None
+            n_body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+            digest = hashlib.sha256()
+
+            def read(n: int) -> bytes:
+                data = fh.read(n)
+                if len(data) != n:
+                    raise ValueError("truncated cache")
+                digest.update(data)
+                return data
+
+            n_rows, dim = struct.unpack("<QQ", read(16))
+            n_text = n_body - 16 - 8 * n_rows - 4 * n_rows * dim
+            if n_text < 0:
+                return None
+            lengths = np.frombuffer(read(8 * n_rows), "<i8").tolist()
+            text = read(n_text).decode("utf-8", "surrogatepass")
+            matrix = np.empty((n_rows, dim), "<f4")
+            if fh.readinto(matrix) != matrix.nbytes:
+                return None
+            digest.update(matrix)
+    except (OSError, ValueError):
+        return None
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    if (digest.digest() != body or min(lengths, default=0) < 0 or bounds[-1] != len(text)
+            or not np.isfinite(matrix).all()):
+        return None
+    vocab = dict(zip(map(text.__getitem__, map(slice, bounds, bounds[1:])), range(n_rows)))
+    try:  # the constructor refuses a repeated token: vocab then has fewer than V rows
+        store = EmbeddingStore(vocab, matrix)
+    except ValueError:
+        return None
+    store._digest = body  # the body is the store's canonical bytes
+    return store
+
+
+def _write_cache(cache, source: bytes, store: EmbeddingStore, mode: int) -> None:
+    """Write the cache file ``cache`` of ``store``, parsed from text whose
+    SHA-256 is ``source``, through a temporary file beside it; an
+    ``OSError`` leaves neither file.  A torn write fails the body's hash."""
+    directory, name = os.path.split(cache)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or os.curdir)
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, mode)
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, source, store._digest))
+            for section in store._sections():
+                fh.write(section)
+        os.replace(tmp, cache)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _file_sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        while chunk := fh.read(_READ_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
+
+
+class _HashedReader(io.RawIOBase):
+    """A binary file whose every byte read is also fed to ``digest``."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+@contextlib.contextmanager
+def _open_hashed(path, digest):
+    """``path`` as UTF-8 text, with every byte read also fed to ``digest``.
+
+    A byte that is not UTF-8 raises ``UnicodeDecodeError``, which the
+    parser's rescan turns into :func:`open_text`'s ``ParseError``."""
+    with (open(path, "rb", buffering=0) as raw,
+          io.TextIOWrapper(io.BufferedReader(_HashedReader(raw, digest), _READ_CHUNK),
+                           encoding="utf-8") as fh):
+        yield fh
+
+
+def _parse_embeddings(path, digest) -> EmbeddingStore:
+    """Parse a text embedding file into an :class:`EmbeddingStore`, feeding
+    every byte read to the hash ``digest``.
 
     Format: optional first header line ``V D`` (two integers), then one
     line per word: the token followed by D decimal floats, whitespace
@@ -240,7 +395,7 @@ def load_embeddings(path) -> EmbeddingStore:
             yield parts[1]
 
     matrix = None
-    with open_text(path) as fh:
+    with _open_hashed(path, digest) as fh:
         rows = remainders(fh)
         try:
             first = next(rows, None)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from centroid_ir import embeddings as emb
 from centroid_ir.cli import _build_parser, main
 from centroid_ir.embeddings import load_embeddings, load_idf
 from centroid_ir.index import CentroidIndex, load_index, save_index
@@ -116,6 +117,18 @@ class TestBuildIndex:
         assert code == 3
         assert f"mode cent weights no word by IDF; drop {option[0]}" in capsys.readouterr().err
         assert not (workspace / "cent.crvi").exists()
+
+    @pytest.mark.parametrize("option", [["--compute-idf"], ["--idf-out", "x.idf"]])
+    def test_idf_file_refuses_the_options_it_drops(self, workspace, capsys, option):
+        code = main(["build-index", "--embeddings", str(workspace / "vectors.txt"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "x.crvi"),
+                     "--idf-file", "nonexistent.idf", *option])
+        assert code == 3
+        assert f"--idf-file gives the IDF weights; drop {option[0]}" in capsys.readouterr().err
+        assert not (workspace / "x.crvi").exists()
+        # Refused before the embeddings are read, so no cache was written.
+        assert not (workspace / "vectors.txt.crvs").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--leaf-cap", str(2**32)), ("--seed", str(2**64))])
@@ -282,6 +295,28 @@ class TestSearch:
                      "--questions", str(workspace / "questions.jsonl"),
                      "--out", str(workspace / "x.txt")])
         assert code == 2
+
+
+class TestEmbeddingCache:
+    def test_a_hit_gives_the_outputs_of_a_miss(self, workspace, monkeypatch):
+        cache = workspace / "vectors.txt.crvs"
+        assert build(workspace) == 0
+        assert cache.exists()
+        cache.unlink()
+        search = TestSearch().search
+        assert search(workspace, "miss.txt", "--rerank", "rwmd_q") == 0
+        assert cache.exists()
+
+        def no_parse(path, digest):
+            raise AssertionError("a cache hit parsed the text")
+
+        monkeypatch.setattr(emb, "_parse_embeddings", no_parse)
+        assert search(workspace, "hit.txt", "--rerank", "rwmd_q") == 0
+        assert build(workspace, "hit.crvi") == 0
+        assert (workspace / "hit.txt").read_bytes() == (workspace / "miss.txt").read_bytes()
+        assert (workspace / "hit.crvi").read_bytes() == (workspace / "index.crvi").read_bytes()
+        assert ((workspace / "hit.crvi.idf").read_bytes()
+                == (workspace / "index.crvi.idf").read_bytes())
 
 
 class TestStoreFingerprint:

@@ -1,7 +1,12 @@
+import errno
 import hashlib
+import io
 import math
+import os
 import re
 import struct
+import tempfile
+import threading
 import weakref
 from collections import Counter
 
@@ -13,6 +18,7 @@ from centroid_ir import (DimensionMismatch, DocumentRecord, EmbeddingStore,
                          centroid_idf, compute_idf,
                          default_stopwords, load_embeddings, load_idf,
                          save_idf, tokenize)
+from centroid_ir import embeddings
 from centroid_ir.embeddings import _NORM_CHUNK, text_ids
 from centroid_ir.text import words
 from stores import make_store, stacked_rows
@@ -124,6 +130,7 @@ def _valid_files():
         "special-values": ("a 1e-3 -2.5E+7 -0.0 0.0 1e-40 1.4e-45 3.4028234e38\n"
                            "b -1e-45 7e-46 -3.4028235e38 1e-38 1.17549435e-38 -0.0 0\n"),
         "hash-token": "# 1 2\n#a 3 4\n",
+        "non-ascii": "b\u00fcro 1 2\n\U00010428x 3 4\nstra\u00dfe 5 6\n\u0663 7 8\n",
         "random": "\n".join(body) + "\n",
         "random-header": f"{len(body)} 6\n" + "\n".join(body),
     }
@@ -160,17 +167,35 @@ def _error_line(exc):
     return int(found.group(1)) if found else None
 
 
+def _must_not_run(*args):
+    raise AssertionError("called")
+
+
+def _cache(path):
+    return path.with_name(path.name + ".crvs")
+
+
 class TestLoaderMatchesBruteParser:
     @pytest.mark.parametrize("name, content", sorted(_valid_files().items()))
-    def test_valid_files(self, tmp_path, name, content):
+    def test_valid_files(self, tmp_path, monkeypatch, name, content):
+        # The first load parses and writes the cache; the second reads it.
         path = tmp_path / "vectors.txt"
         path.write_bytes(content.encode("utf-8"))
         vocab, matrix = brute_load_embeddings(path)
-        store = load_embeddings(path)
-        assert list(store.vocab.items()) == list(vocab.items())
-        assert store.matrix.dtype == matrix.dtype == np.float32
-        assert store.matrix.shape == matrix.shape
-        assert store.matrix.tobytes() == matrix.tobytes()
+        parsed = load_embeddings(path)
+        assert _cache(path).exists()
+        with monkeypatch.context() as mp:  # neither parsed nor hashed again
+            mp.setattr(embeddings, "_parse_embeddings", _must_not_run)
+            mp.setattr(EmbeddingStore, "_sections", _must_not_run)
+            cached = load_embeddings(path)
+            fingerprint = cached.fingerprint()
+        for store in (parsed, cached):
+            assert list(store.vocab.items()) == list(vocab.items())
+            assert store.matrix.dtype == matrix.dtype == np.float32
+            assert store.matrix.shape == matrix.shape
+            assert store.matrix.tobytes() == matrix.tobytes()
+        rehashed = EmbeddingStore(dict(cached.vocab), cached.matrix.copy())
+        assert fingerprint == parsed.fingerprint() == rehashed.fingerprint()
 
     @pytest.mark.parametrize("name, content", sorted(_malformed_files().items()))
     def test_malformed_files(self, tmp_path, name, content):
@@ -183,6 +208,150 @@ class TestLoaderMatchesBruteParser:
         assert type(got.value) is type(want.value)
         assert _error_line(got.value) == _error_line(want.value)
         assert str(got.value) == str(want.value)
+        assert list(tmp_path.iterdir()) == [path]  # no cache, no temporary file
+
+
+def _forge_cache(path, n_rows, dim, lengths, text, matrix):
+    """Write ``path``'s cache with the given body and the right hashes."""
+    body = (struct.pack("<QQ", n_rows, dim) + np.asarray(lengths, "<i8").tobytes() + text
+            + np.asarray(matrix, "<f4").tobytes())
+    source = hashlib.sha256(path.read_bytes()).digest()
+    _cache(path).write_bytes(b"CRVS" + struct.pack("<I", 1) + source
+                             + hashlib.sha256(body).digest() + body)
+
+
+def _raise_enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullDisk(io.FileIO):
+    """A file that fills the disk after its first write."""
+
+    def write(self, data):
+        if self.tell():
+            _raise_enospc()
+        return super().write(data)
+
+
+class TestEmbeddingCache:
+    CONTENT = "3 2\nalpha 1 2\nb\u00fcro 3 4\nzeta 5 6\n"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text(self.CONTENT, encoding="utf-8")
+        return path
+
+    def assert_parsed(self, path, store):
+        vocab, matrix = brute_load_embeddings(path)
+        assert list(store.vocab.items()) == list(vocab.items())
+        assert store.matrix.tobytes() == matrix.tobytes()
+
+    def test_cache_is_the_header_then_the_canonical_bytes(self, path):
+        store = load_embeddings(path)
+        body = b"".join(bytes(section) for section in store._sections())
+        assert _cache(path).read_bytes() == (
+            b"CRVS" + struct.pack("<I", 1) + hashlib.sha256(path.read_bytes()).digest()
+            + hashlib.sha256(body).digest() + body)
+        assert hashlib.sha256(body).digest() == store._digest
+
+    def test_same_length_rewrite_wins(self, path):
+        load_embeddings(path)
+        times = os.stat(path)
+        path.write_text(self.CONTENT.replace("1 2", "7 8"), encoding="utf-8")
+        os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+        store = load_embeddings(path)
+        assert store.matrix[store.vocab["alpha"]].tolist() == [7.0, 8.0]
+        self.assert_parsed(path, store)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data, other: data[:-1],
+        lambda data, other: data[:80],
+        lambda data, other: data[:10],
+        lambda data, other: b"",
+        lambda data, other: data + b"\0",
+        lambda data, other: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:],
+        lambda data, other: data[:115] + bytes([data[115] ^ 0x80]) + data[116:],  # in "alpha"
+        lambda data, other: b"CRVX" + data[4:],
+        lambda data, other: data[:4] + struct.pack("<I", 2) + data[8:],
+        lambda data, other: other,
+    ], ids=["truncated-by-one", "truncated-body", "truncated-header", "empty", "trailing-byte",
+            "flipped-matrix-byte", "flipped-text-byte", "magic", "version", "other-source"])
+    def test_damaged_cache_is_reparsed_and_rewritten(self, path, tmp_path, damage):
+        load_embeddings(path)
+        good = _cache(path).read_bytes()
+        assert good[112:126] == "alphab\u00fcrozeta".encode("utf-8")  # the tokens' text
+        other = tmp_path / "other.txt"
+        other.write_text("alpha 1 2\n", encoding="utf-8")
+        load_embeddings(other)
+        _cache(path).write_bytes(damage(good, _cache(other).read_bytes()))
+        calls = []
+        parse = embeddings._parse_embeddings
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "_parse_embeddings",
+                       lambda *args: calls.append(args) or parse(*args))
+            store = load_embeddings(path)
+        assert len(calls) == 1
+        self.assert_parsed(path, store)
+        assert _cache(path).read_bytes() == good
+
+    @pytest.mark.parametrize("n_rows, dim, lengths, text, matrix", [
+        (4, 2, [5, 4, 4], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # V past the body
+        (3, 3, [5, 4, 4], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # dim past the body
+        (3, 2**35, [5, 4, 4], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # 412 GB
+        (3, 2, [5, 4, 3], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # lengths too short
+        (3, 2, [5, 4, 5], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # lengths too long
+        (3, 2, [5, -1, 9], "alphab\u00fcrozeta", [[1, 2], [3, 4], [5, 6]]),  # negative length
+        (3, 2, [4, 4, 4], "zetazetazeta", [[1, 2], [3, 4], [5, 6]]),  # a token twice
+        (3, 2, [5, 4, 4], "alphab\u00fcrozeta", [[1, 2], [3, np.nan], [5, 6]]),
+        (3, 2, [5, 4, 4], "alphab\u00fcrozeta", [[1, 2], [3, np.inf], [5, 6]]),
+        (3, 2, [5, 4, 4], b"alphab\xfcrozeta", [[1, 2], [3, 4], [5, 6]]),  # not UTF-8
+    ], ids=["rows", "dim", "huge-dim", "short", "long", "negative", "repeated", "nan", "inf", "latin-1"])
+    def test_forged_cache_failing_a_check_is_reparsed(self, path, n_rows, dim, lengths, text,
+                                                      matrix):
+        load_embeddings(path)
+        good = _cache(path).read_bytes()
+        text = text if isinstance(text, bytes) else text.encode("utf-8")
+        _forge_cache(path, n_rows, dim, lengths, text, matrix)
+        self.assert_parsed(path, load_embeddings(path))
+        assert _cache(path).read_bytes() == good
+
+    def test_forged_cache_passing_every_check_is_read(self, path, monkeypatch):
+        # The source hash is the key: a cache is believed when it matches.
+        _forge_cache(path, 2, 1, [1, 1], b"xy", [[1], [2]])
+        monkeypatch.setattr(embeddings, "_parse_embeddings", _must_not_run)
+        store = load_embeddings(path)
+        assert store.vocab == {"x": 0, "y": 1}
+        assert store.fingerprint() == EmbeddingStore({"x": 0, "y": 1},
+                                                     store.matrix.copy()).fingerprint()
+
+    def test_loaded_matrix_is_writable(self, path):
+        for _ in range(2):  # a miss, then a hit
+            store = load_embeddings(path)
+            store.matrix[0, 0] = -1.0
+            assert store.matrix.flags.aligned
+
+    @pytest.mark.parametrize("target, name, replacement", [
+        (tempfile, "mkstemp", _raise_enospc),
+        (os, "fchmod", _raise_enospc),
+        (os, "fdopen", lambda fd, mode: _FullDisk(fd, mode)),
+        (os, "replace", _raise_enospc),
+    ], ids=["mkstemp", "fchmod", "write", "replace"])
+    def test_write_error_skips_the_cache(self, path, tmp_path, monkeypatch, target, name,
+                                         replacement):
+        monkeypatch.setattr(target, name, replacement)
+        self.assert_parsed(path, load_embeddings(path))
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_pipe_is_parsed_and_not_cached(self, tmp_path):
+        fifo = tmp_path / "vectors.txt"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(self.CONTENT,), daemon=True)
+        writer.start()
+        store = load_embeddings(fifo)
+        writer.join()
+        assert list(store.vocab) == ["alpha", "b\u00fcro", "zeta"]
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestStoreRows:
