@@ -7,7 +7,7 @@ trees; retrieved lists can be reranked by relaxed Word Mover's Distance
 and evaluated against binary relevance judgments.
 """
 
-from .centroids import Centroid, centroid_idf, centroid_simple, cosine
+from .centroids import Centroid, centroid_idf, centroid_simple
 from .corpus import DocumentRecord, iter_corpus, load_corpus
 from .embeddings import (EmbeddingStore, compute_idf, load_embeddings, load_idf,
                          save_idf)
@@ -34,7 +34,7 @@ __all__ = [
     "EngineError", "EvalReport", "EvaluationError", "IndexFormatError",
     "ParseError", "Question", "RankedRun", "StateError", "UnknownIds",
     "average_precision", "build_corpus_index", "centroid_idf",
-    "centroid_simple", "compute_idf", "cosine", "default_stopwords",
+    "centroid_simple", "compute_idf", "default_stopwords",
     "embed_text", "evaluate", "hybrid", "interpolated_precision_curve",
     "iter_corpus", "load_corpus", "load_embeddings", "load_idf", "load_index",
     "load_questions", "load_stopwords", "ndcg_at_k", "read_qrels", "read_run",

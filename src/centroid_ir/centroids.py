@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import DimensionMismatch, StateError
+from .errors import StateError
 
 
 @dataclass(frozen=True)
@@ -106,19 +106,3 @@ def centroid_matrix(rows: np.ndarray, bounds: np.ndarray, store: EmbeddingStore,
             out[i] = vec
     return out
 
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two equal-length vectors, in [-1, 1].
-
-    Returns 0.0 when either vector has zero length.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"cosine of shapes {va.shape} and {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    value = float(va @ vb) / (na * nb)
-    return max(-1.0, min(1.0, value))

@@ -137,20 +137,19 @@ def cmd_build_index(ns) -> int:
     if ns.idf_file and len(idf_flags) > 1:
         dropped = next(flag for flag in idf_flags if flag != "--idf-file")
         raise ConfigMismatch(f"--idf-file gives the IDF weights; drop {dropped}")
+    if ns.mode == "centidf" and not (ns.compute_idf or ns.idf_file):
+        raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")
     t0 = time.perf_counter()
     store = emb.load_embeddings(ns.embeddings)
     _log(f"load embeddings: {time.perf_counter() - t0:.3f} s")
     stopwords = _load_stopword_set(ns)
-    compute_idf = ns.mode == "centidf" and not ns.idf_file
     if ns.idf_file:
         store.set_idf(*emb.load_idf(ns.idf_file))
-    elif compute_idf and not ns.compute_idf:
-        raise ConfigMismatch("mode centidf needs --compute-idf or --idf-file")
     index = build_corpus_index(iter_corpus(ns.corpus), store, mode=ns.mode,
-                               stopwords=stopwords, compute_idf=compute_idf)
+                               stopwords=stopwords, compute_idf=ns.compute_idf)
     if ns.engine == "ann":
         index.build_forest(n_trees=ns.trees, leaf_cap=ns.leaf_cap, seed=ns.seed)
-    if compute_idf:
+    if ns.compute_idf:
         emb.save_idf(ns.idf_out or f"{ns.out}.idf", store.idf, store.n_docs)
     save_index(index, ns.out)
     elapsed = time.perf_counter() - t0

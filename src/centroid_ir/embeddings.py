@@ -25,14 +25,14 @@ an index was built from.
 :func:`load_embeddings` parses a text file once: it writes the store,
 as the canonical bytes the fingerprint hashes, to a cache ``<path>.crvs``
 beside it, keyed by the text's SHA-256, and a later load of the same
-bytes reads that cache instead of the text.
+bytes reads that cache instead of the text.  A parse reads the text a
+line at a time through :func:`_lines`, which hashes and decodes each line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import itertools
 import math
 import os
@@ -45,7 +45,7 @@ from typing import Collection, Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, open_text
+from .errors import DimensionMismatch, ParseError, not_utf8, open_text
 from .text import kept, words
 
 # Rows per float64 copy in ``row_sq_norms``.  Kept small: the norms are
@@ -331,53 +331,44 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
-class _HashedReader(io.RawIOBase):
-    """A binary file whose every byte read is also fed to ``digest``."""
+def _lines(path, digest) -> Iterator[tuple[int, str]]:
+    """The lines of ``path``, each ending at its LF, numbered from 1 and
+    decoded as UTF-8, with every byte also fed to ``digest``.
 
-    def __init__(self, raw, digest):
-        self._raw, self._digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-
-@contextlib.contextmanager
-def _open_hashed(path, digest):
-    """``path`` as UTF-8 text, with every byte read also fed to ``digest``.
-
-    A byte that is not UTF-8 raises ``UnicodeDecodeError``, which the
-    parser's rescan turns into :func:`open_text`'s ``ParseError``."""
-    with (open(path, "rb", buffering=0) as raw,
-          io.TextIOWrapper(io.BufferedReader(_HashedReader(raw, digest), _READ_CHUNK),
-                           encoding="utf-8") as fh):
-        yield fh
+    A byte that is not UTF-8 raises :func:`not_utf8`'s ``ParseError``."""
+    with open(path, "rb", buffering=_READ_CHUNK) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            digest.update(line)
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise not_utf8(exc, path) from None
+            yield line_no, text
 
 
 def _parse_embeddings(path, digest) -> EmbeddingStore:
     """Parse a text embedding file into an :class:`EmbeddingStore`, feeding
     every byte read to the hash ``digest``.
 
-    Format: optional first header line ``V D`` (two integers), then one
-    line per word: the token followed by D decimal floats, whitespace
-    separated.  The dimension is taken from the header or inferred from
-    the first vector line; later occurrences of a word win, at the row of
-    its first occurrence.  A header's V must equal the number of vector
-    lines.  Numbers are read by numpy's text parser in one streaming
-    pass; a file it rejects is scanned again line by line, only to name
-    the first bad line in the error.
+    Format: UTF-8 lines, each ending at an LF; a CR before the LF is
+    whitespace, so CRLF files parse alike, and a CR anywhere else in a
+    vector makes its line bad.  An optional first header line ``V D``
+    (two integers), then one line per word: the token followed by D
+    decimal floats, whitespace separated.  The dimension is taken from
+    the header or inferred from the first vector line; later occurrences
+    of a word win, at the row of its first occurrence.  A header's V must
+    equal the number of vector lines.  Numbers are read by numpy's text
+    parser in one streaming pass over :func:`_lines`; a file it rejects
+    is read again through :func:`_lines`, only to name the first bad
+    line in the error.
     """
     tokens: list[str] = []
     n_header: int | None = None
     dim: int | None = None
 
-    def remainders(fh):
+    def remainders(lines):
         nonlocal n_header, dim
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in lines:
             parts = line.split(None, 1)
             if not parts:
                 continue
@@ -395,15 +386,14 @@ def _parse_embeddings(path, digest) -> EmbeddingStore:
             yield parts[1]
 
     matrix = None
-    with _open_hashed(path, digest) as fh:
-        rows = remainders(fh)
-        try:
-            first = next(rows, None)
-            if first is not None:
-                matrix = np.loadtxt(itertools.chain([first], rows), dtype=np.float32,
-                                    comments=None, ndmin=2)
-        except ValueError:
-            _raise_first_bad_line(path)
+    rows = remainders(_lines(path, digest))
+    try:
+        first = next(rows, None)
+        if first is not None:
+            matrix = np.loadtxt(itertools.chain([first], rows), dtype=np.float32,
+                                comments=None, ndmin=2)
+    except ValueError:
+        _raise_first_bad_line(path)
     if matrix is None:
         if dim is None:
             raise ParseError("embedding file contains no header and no vectors", path=path)
@@ -422,32 +412,30 @@ def _parse_embeddings(path, digest) -> EmbeddingStore:
 def _raise_first_bad_line(path) -> NoReturn:
     """Scan an embedding file numpy rejected and raise for its first bad line."""
     dim: int | None = None
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if dim is None and len(fields) == 2 and _both_ints(fields):
-                dim = int(fields[1])
-                continue
-            if len(fields) < 2:
-                raise ParseError("expected a token followed by vector components",
-                                 line_no=line_no, path=path)
-            if dim is None:
-                dim = len(fields) - 1
-            elif len(fields) - 1 != dim:
-                raise DimensionMismatch(
-                    f"{path}: line {line_no}: expected {dim} components, got {len(fields) - 1}"
-                )
-            try:
-                vec = np.loadtxt([line.split(None, 1)[1]], dtype=np.float32,
-                                 comments=None, ndmin=2)
-            except ValueError:
-                raise ParseError("vector component is not a number",
-                                 line_no=line_no, path=path) from None
-            if not np.isfinite(vec).all():
-                raise ParseError("vector component is not finite",
-                                 line_no=line_no, path=path)
+    for line_no, line in _lines(path, hashlib.sha256()):
+        fields = line.split()
+        if not fields:
+            continue
+        if dim is None and len(fields) == 2 and _both_ints(fields):
+            dim = int(fields[1])
+            continue
+        if len(fields) < 2:
+            raise ParseError("expected a token followed by vector components",
+                             line_no=line_no, path=path)
+        if dim is None:
+            dim = len(fields) - 1
+        elif len(fields) - 1 != dim:
+            raise DimensionMismatch(
+                f"{path}: line {line_no}: expected {dim} components, got {len(fields) - 1}"
+            )
+        try:
+            vec = np.loadtxt([line.split(None, 1)[1]], dtype=np.float32,
+                             comments=None, ndmin=2)
+        except ValueError:
+            raise ParseError("vector component is not a number",
+                             line_no=line_no, path=path) from None
+        if not np.isfinite(vec).all():
+            raise ParseError("vector component is not finite", line_no=line_no, path=path)
     raise ParseError("embedding file could not be parsed", path=path)
 
 

@@ -63,13 +63,18 @@ class EvaluationError(EngineError):
     """A run and a qrels set share no question ids."""
 
 
+def not_utf8(exc: UnicodeDecodeError, path) -> ParseError:
+    """The :class:`ParseError` for bytes of ``path`` that are not UTF-8; it names
+    the file, not a line (a codec's offset is into a chunk, not the file)."""
+    return ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
+                      path=path)
+
+
 @contextmanager
 def open_text(path):
-    """Open ``path`` as UTF-8 text; other bytes raise :class:`ParseError` naming
-    the file, not a line (the codec's offset is into a chunk, not the file)."""
+    """Open ``path`` as UTF-8 text; other bytes raise :func:`not_utf8`'s error."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                             f"({exc.reason})", path=path) from None
+            raise not_utf8(exc, path) from None

@@ -252,13 +252,7 @@ class CentroidIndex:
         Ties break by ascending document id; a zero query or k <= 0
         yields an empty list; fewer than k documents yields all of them.
         """
-        if k <= 0 or self.n_docs == 0:
-            return []
-        qv = self._unit_query(q)
-        if qv is None:
-            return []
-        scores = self.unit_matrix @ qv
-        return self._rank(scores, None, k)
+        return self._topk(q, k, None)
 
     def ann_topk(self, q, k: int, search_k: int | None = None) -> list[tuple[str, float]]:
         """Approximate top-k: forest-selected candidates, exact cosine scores.
@@ -273,21 +267,21 @@ class CentroidIndex:
             raise StateError("index has no forest; call build_forest or use exact_topk")
         if search_k is not None and search_k < 1:
             raise ValueError(f"search_k must be at least 1, got {search_k}")
+        return self._topk(q, k, 10 * self.n_trees * k if search_k is None else search_k)
+
+    def _topk(self, q, k: int, search_k: int | None) -> list[tuple[str, float]]:
+        """The top k of ``q`` over every row when ``search_k`` is None or the
+        scan rule holds, else over the walk's ``search_k`` candidates."""
         if k <= 0 or self.n_docs == 0:
             return []
         qv = self._unit_query(q)
         if qv is None:
             return []
-        if search_k is None:
-            search_k = 10 * self.n_trees * k
-        if search_k >= self.n_docs or self.n_trees * self.n_docs <= _SCAN_RATIO * search_k:
-            scores = self.unit_matrix @ qv
-            return self._rank(scores, None, k)
+        if (search_k is None or search_k >= self.n_docs
+                or self.n_trees * self.n_docs <= _SCAN_RATIO * search_k):
+            return self._rank(self.unit_matrix @ qv, None, k)
         cands = self._walk_candidates(qv, search_k)
-        if cands.size == 0:
-            return []
-        scores = self.unit_matrix[cands] @ qv
-        return self._rank(scores, cands, k)
+        return self._rank(self.unit_matrix[cands] @ qv, cands, k)
 
     def _seen_buffer(self) -> np.ndarray:
         """Per-thread candidate-dedup mask, reset by the caller after use."""

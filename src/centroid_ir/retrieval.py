@@ -103,9 +103,11 @@ def retrieve(
     arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.  Mode
     "centidf" weights questions by ``index.idf_rows``, as the documents
     were weighted; an index without them takes the store's, raising
-    :class:`StateError` if there are none.  Raises :class:`DuplicateId`
-    for a repeated question id, and :class:`ConfigMismatch` when the
-    index records a centroid mode other than the one requested or a store
+    :class:`StateError` if there are none.  Engine "ann" on an index
+    without a forest raises :class:`StateError` at the first question,
+    even one whose centroid is zero.  Raises :class:`DuplicateId` for a
+    repeated question id, and :class:`ConfigMismatch` when the index
+    records a centroid mode other than the one requested or a store
     fingerprint that ``store`` does not match.  ``threads`` is accepted for
     callers that still pass it and must be at least 1; it has no effect.
     """
@@ -133,9 +135,7 @@ def retrieve(
     centroids = centroid_matrix(rows, bounds, store, idf_rows, dtype=np.float64)
     per_question: dict[str, list[tuple[str, float]]] = {}
     for qid, vec in zip(texts, centroids):
-        if np.linalg.norm(vec) == 0.0:
-            per_question[qid] = []
-        elif engine == "ann":
+        if engine == "ann":
             per_question[qid] = index.ann_topk(vec, k, search_k=search_k)
         else:
             per_question[qid] = index.exact_topk(vec, k)

@@ -57,11 +57,12 @@ def write_run(run: RankedRun, path) -> None:
                 fh.write(f"{qid} Q0 {doc_id} {rank} {float(score)!r} {tag}\n")
 
 
-def read_run(path, tag: str | None = None) -> RankedRun:
+def read_run(path) -> RankedRun:
     """Parse a TREC run file.
 
     Entries are reordered by their rank field (ascending, stable); a
-    duplicate (qid, doc_id) pair keeps its first occurrence.
+    duplicate (qid, doc_id) pair keeps its first occurrence.  The run's
+    tag is the first entry's.
     """
     ranked: dict[str, list[tuple[int, int, str, float]]] = {}
     seen: set[tuple[str, str]] = set()
@@ -92,5 +93,4 @@ def read_run(path, tag: str | None = None) -> RankedRun:
         qid: [(doc_id, score) for _, _, doc_id, score in sorted(entries)]
         for qid, entries in ranked.items()
     }
-    return RankedRun(tag=tag if tag is not None else (file_tag or ""),
-                     per_question=per_question)
+    return RankedRun(tag=file_tag or "", per_question=per_question)

@@ -62,24 +62,24 @@ def brute_ndcg(ranking, rel, k):
     return dcg / ideal
 
 
+def brute_cosine(a, b):
+    """The cosine of two vectors in Python floats; 0.0 when either has zero length."""
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return sum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
 def brute_topk_cosine(doc_ids, vectors, query, k):
     """Rank all documents by cosine in float64; ties by ascending id.
 
     ``vectors`` is a list of per-document vectors (not necessarily
     normalized), ``query`` a vector.  Returns the top-k doc ids.
     """
-    qnorm = math.sqrt(sum(x * x for x in query))
-    if qnorm == 0.0:
+    if math.sqrt(sum(x * x for x in query)) == 0.0:
         return []
-    scored = []
-    for doc_id, vec in zip(doc_ids, vectors):
-        vnorm = math.sqrt(sum(x * x for x in vec))
-        if vnorm == 0.0:
-            score = 0.0
-        else:
-            score = sum(a * b for a, b in zip(vec, query)) / (vnorm * qnorm)
-        scored.append((-score, doc_id))
-    scored.sort()
+    scored = sorted((-brute_cosine(vec, query), doc_id) for doc_id, vec in zip(doc_ids, vectors))
     return [doc_id for _, doc_id in scored[:k]]
 
 
@@ -167,16 +167,18 @@ def brute_load_embeddings(path):
 
     Returns the ``token -> row`` map and the float32 matrix, or raises
     the :class:`ParseError` / :class:`DimensionMismatch` of the first bad
-    line.  A header ``V D`` is the first non-blank line if it holds
-    exactly two integers; later occurrences of a word win, at the row of
-    its first occurrence.
+    line.  Lines end at LF.  A CR is whitespace where ``str.split`` takes
+    it, except that in a vector only a CR just before the line's end is.
+    A header ``V D`` is the first non-blank line if it holds exactly two
+    integers; later occurrences of a word win, at the row of its first
+    occurrence.
     """
     vectors = {}
     dim = None
     n_header = None
     n_lines = 0
     first_data_line = True
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -201,6 +203,8 @@ def brute_load_embeddings(path):
                     f"{path}: line {line_no}: expected {dim} components, got {len(components)}"
                 )
             try:
+                if "\r" in line.split(None, 1)[1].rstrip("\n").removesuffix("\r"):
+                    raise ValueError("a CR inside a vector")
                 values = [float(c) for c in components]
             except ValueError:
                 raise ParseError("vector component is not a number",

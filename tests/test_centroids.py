@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from centroid_ir import (CentroidIndex, DimensionMismatch, DocumentRecord,
-                         EmbeddingStore, StateError, build_corpus_index,
-                         centroid_idf, centroid_simple, cosine, tokenize)
+from centroid_ir import (CentroidIndex, DocumentRecord, EmbeddingStore, StateError,
+                         build_corpus_index, centroid_idf, centroid_simple, tokenize)
 from centroid_ir.centroids import centroid_matrix
 from stores import make_store, random_store, stacked_rows
 from oracles import brute_centroid
@@ -102,30 +101,6 @@ class TestIdfCentroid:
             vecs = np.array([store.matrix[store.vocab[t]] for t in tokens], dtype=np.float64)
             assert np.all(cent.vec >= vecs.min(axis=0) - 1e-9)
             assert np.all(cent.vec <= vecs.max(axis=0) + 1e-9)
-
-
-class TestCosine:
-    def test_identical_direction(self):
-        assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_45_degrees(self):
-        assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_zero_vector(self):
-        assert cosine([1.0, 0.0], [0.0, 0.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_symmetry_and_scaling(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            a = rng.normal(size=5)
-            b = rng.normal(size=5)
-            assert cosine(a, b) == cosine(b, a)
-            assert cosine(a, 3.7 * a) == pytest.approx(1.0, abs=1e-12)
-            assert -1.0 <= cosine(a, b) <= 1.0
 
 
 def test_centroid_pipeline_with_tokenizer(ab_store):

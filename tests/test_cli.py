@@ -130,6 +130,19 @@ class TestBuildIndex:
         # Refused before the embeddings are read, so no cache was written.
         assert not (workspace / "vectors.txt.crvs").exists()
 
+    @pytest.mark.parametrize("option", [[], ["--idf-out", "x.idf"]])
+    def test_centidf_without_idf_source_is_refused_before_loading(self, workspace, capsys,
+                                                                   option):
+        code = main(["build-index", "--embeddings", str(workspace / "vectors.txt"),
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "x.crvi"), *option])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "mode centidf needs --compute-idf or --idf-file" in err
+        assert "load embeddings:" not in err
+        assert not (workspace / "x.crvi").exists()
+        assert not (workspace / "vectors.txt.crvs").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--leaf-cap", str(2**32)), ("--seed", str(2**64))])
     def test_out_of_range_leaf_cap_or_seed_exit_3(self, workspace, flag, value):

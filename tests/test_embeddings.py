@@ -121,6 +121,8 @@ def _valid_files():
         "tabs-and-spaces": "a\t1.5\t 2.5   \nb   3\t\t4\n  c 5 6\n",
         "unicode-spaces": "a 1\u00a02\nb\u20003 4\n",
         "crlf": "2 2\r\na 1 2\r\n\r\nb 3 4\r\n",
+        "crlf-then-cr-at-end": "a 1 2\r\nb 3 4\r",
+        "cr-outside-vectors": "1\r2\r\n\r\na\r1 2 \r\n",
         "repeated": "a 1 2\nb 3 4\na 5 6\nc 7 8\nb 9 10\na 11 12\n",
         "repeated-header": "3 2\na 1 2\nb 3 4\na 5 6\n",
         "dim-1": "a 1\nb -2.5\nc 3e-2\n",
@@ -157,6 +159,10 @@ def _malformed_files():
         "header-count-no-lines": "2 2\n",
         "empty": "",
         "blank-only": "\n  \n\t\n",
+        "lone-cr": "a 1 2\rb 3 4\r",
+        "lone-cr-int-tokens": "5 2\r7 3\r",  # not the vector 5 = (2, 7, 3)
+        "cr-inside-vector": "a 1 2\nb 3\r4\n",
+        "cr-then-space": "a 1 2\r \n",
     }
 
 
@@ -183,7 +189,8 @@ class TestLoaderMatchesBruteParser:
         path.write_bytes(content.encode("utf-8"))
         vocab, matrix = brute_load_embeddings(path)
         parsed = load_embeddings(path)
-        assert _cache(path).exists()
+        source = _cache(path).read_bytes()[8:40]  # the header's hash of the text
+        assert source == hashlib.sha256(path.read_bytes()).digest()
         with monkeypatch.context() as mp:  # neither parsed nor hashed again
             mp.setattr(embeddings, "_parse_embeddings", _must_not_run)
             mp.setattr(EmbeddingStore, "_sections", _must_not_run)

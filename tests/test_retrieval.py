@@ -49,6 +49,12 @@ class TestRetrieve:
                        mode="cent", engine="exact", stopwords=STOP)
         assert run["q1"] == []
 
+    def test_ann_without_forest_raises_even_for_zero_centroids(self, toy):
+        store, docs, index = toy
+        with pytest.raises(StateError, match="no forest"):
+            retrieve([Question("q1", "the of and")], index, store, mode="cent",
+                     engine="ann", stopwords=STOP)
+
     def test_ann_with_full_budget_matches_exact(self, toy):
         store, docs, index = toy
         index.build_forest(n_trees=3, leaf_cap=4, seed=1)
