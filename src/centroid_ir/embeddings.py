@@ -335,14 +335,15 @@ def _lines(path, digest) -> Iterator[tuple[int, str]]:
     """The lines of ``path``, each ending at its LF, numbered from 1 and
     decoded as UTF-8, with every byte also fed to ``digest``.
 
-    A byte that is not UTF-8 raises :func:`not_utf8`'s ``ParseError``."""
+    A byte that is not UTF-8 raises :func:`not_utf8`'s ``ParseError``,
+    which names its line."""
     with open(path, "rb", buffering=_READ_CHUNK) as fh:
         for line_no, line in enumerate(fh, start=1):
             digest.update(line)
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise not_utf8(exc, path) from None
+                raise not_utf8(exc, path, line_no) from None
             yield line_no, text
 
 
@@ -428,10 +429,15 @@ def _raise_first_bad_line(path) -> NoReturn:
             raise DimensionMismatch(
                 f"{path}: line {line_no}: expected {dim} components, got {len(fields) - 1}"
             )
+        rest = line.split(None, 1)[1]
         try:
-            vec = np.loadtxt([line.split(None, 1)[1]], dtype=np.float32,
-                             comments=None, ndmin=2)
+            vec = np.loadtxt([rest], dtype=np.float32, comments=None, ndmin=2)
         except ValueError:
+            # numpy reads a CR as a line break, so one among the numbers
+            # splits the vector; only a CR just before the LF is whitespace.
+            if "\r" in rest.rstrip("\n").removesuffix("\r"):
+                raise ParseError("carriage return among the vector components",
+                                 line_no=line_no, path=path) from None
             raise ParseError("vector component is not a number",
                              line_no=line_no, path=path) from None
         if not np.isfinite(vec).all():

@@ -63,11 +63,12 @@ class EvaluationError(EngineError):
     """A run and a qrels set share no question ids."""
 
 
-def not_utf8(exc: UnicodeDecodeError, path) -> ParseError:
-    """The :class:`ParseError` for bytes of ``path`` that are not UTF-8; it names
-    the file, not a line (a codec's offset is into a chunk, not the file)."""
+def not_utf8(exc: UnicodeDecodeError, path, line_no: int | None = None) -> ParseError:
+    """The :class:`ParseError` for bytes of ``path`` that are not UTF-8, naming
+    line ``line_no`` when the caller decoded a line at a time (a codec's
+    offset is into what it decoded, not into the file)."""
     return ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
-                      path=path)
+                      line_no=line_no, path=path)
 
 
 @contextmanager

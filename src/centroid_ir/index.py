@@ -372,7 +372,7 @@ class CentroidIndex:
         rows = sel if cand_rows is None else cand_rows[sel]
         ids = self.doc_ids[rows]
         order = np.lexsort((ids, -sel_scores))[:kk]
-        return [(str(ids[i]), float(sel_scores[i])) for i in order]
+        return list(zip(ids[order].tolist(), sel_scores[order].tolist()))
 
 
 def _check_leaf_cap_and_seed(leaf_cap: int, seed: int) -> None:

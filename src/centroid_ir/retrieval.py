@@ -24,7 +24,6 @@ an index was built with.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -38,7 +37,7 @@ from .embeddings import EmbeddingStore, idf_of, text_ids
 from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, UnknownIds
 from .index import MODES, CentroidIndex
 from .runs import RankedRun
-from .rwmd import SCORERS, EmbeddedText, embed_text, rwmd_many  # noqa: F401
+from .rwmd import SCORERS, embed_text, rwmd_batch  # noqa: F401
 from .text import default_stopwords, tokenize  # noqa: F401
 
 DEFAULT_K = 1000
@@ -171,10 +170,11 @@ def rerank(
     :class:`ConfigMismatch` when ``store`` does not match its
     fingerprint; the store's IDF is not read.  From records, the distinct
     reranked documents' texts are mapped to vocabulary rows once, up
-    front, in one :meth:`EmbeddingStore.text_rows` call.  Either way the
-    same scoring follows: the questions are mapped in one call and their
-    float64 vectors gathered once, and each question takes one matrix
-    product against its documents' vocabulary (:func:`rwmd_many`).
+    front, in one :meth:`EmbeddingStore.text_rows` call.  Either way one
+    plan follows: the distinct head documents' row spans, each question's
+    slots among them, and the questions' rows, mapped in one call.  One
+    :func:`rwmd_batch` call scores every slot, with one matrix product per
+    question against its documents' vocabulary.
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rerank method {method!r}; expected one of {sorted(SCORERS)}")
@@ -208,28 +208,28 @@ def rerank(
         source = "index" if from_index else "corpus"
         raise UnknownIds(f"run references documents missing from the {source}", missing_d)
 
-    head_ids = list(dict.fromkeys(
-        doc_id for qid in active_qids for doc_id, _ in run.per_question[qid][:depth]))
+    # The plan: each slot's place among the distinct head documents, the
+    # questions' slot spans, and those documents' row spans.
+    heads = [[doc_id for doc_id, _ in run.per_question[qid][:depth]] for qid in active_qids]
+    place: dict[str, int] = {}
+    slots = np.array([place.setdefault(doc_id, len(place)) for head in heads for doc_id in head],
+                     dtype=np.intp)
+    slot_bounds = np.cumsum([0, *map(len, heads)])
     if from_index:
-        at = np.array([known[doc_id] for doc_id in head_ids], dtype=np.intp)
-        rows = documents.rows
-        spans = zip(documents.bounds[at].tolist(), documents.bounds[at + 1].tolist())
+        at = np.array([known[doc_id] for doc_id in place], dtype=np.intp)
+        rows, lo, hi = documents.rows, documents.bounds[at], documents.bounds[at + 1]
     else:
-        rows, bounds = store.text_rows((documents[doc_id].text for doc_id in head_ids),
-                                       stopwords)
-        spans = itertools.pairwise(bounds.tolist())
-    doc_rows = {doc_id: rows[lo:hi] for doc_id, (lo, hi) in zip(head_ids, spans)}
+        rows, bounds = store.text_rows((documents[doc_id].text for doc_id in place), stopwords)
+        lo, hi = bounds[:-1], bounds[1:]
 
     q_rows, q_bounds = store.text_rows((question_texts[qid] for qid in active_qids), stopwords)
-    q_matrix = store.matrix[q_rows].astype(np.float64)
+    dists = rwmd_batch(q_rows, q_bounds, rows, lo[slots], hi[slots], slot_bounds, store,
+                       method).tolist()
     per_question: dict[str, list[tuple[str, float]]] = {qid: [] for qid in run.per_question}
-    for qid, (lo, hi) in zip(active_qids, itertools.pairwise(q_bounds.tolist())):
-        entries = run.per_question[qid]
-        head = [doc_id for doc_id, _ in entries[:depth]]
-        q = EmbeddedText(rows=q_rows[lo:hi], matrix=q_matrix[lo:hi])
-        dists = rwmd_many(q, [doc_rows[doc_id] for doc_id in head], store, method)
-        reranked = [(doc_id, dist) for dist, doc_id in sorted(zip(dists.tolist(), head))]
-        per_question[qid] = reranked + list(entries[len(head):])
+    for qid, head, a in zip(active_qids, heads, slot_bounds.tolist()):
+        ranked = sorted(zip(dists[a:a + len(head)], head))
+        per_question[qid] = ([(doc_id, dist) for dist, doc_id in ranked]
+                             + list(run.per_question[qid][len(head):]))
     suffix = method.replace("_", "")
     tag = f"{run.tag}-{suffix}" if run.tag else suffix
     return RankedRun(tag=tag, per_question=per_question)

@@ -15,19 +15,22 @@ to the bottom of any reranking: the directed sum over an empty source is
 0, and against an empty target it is +inf.
 
 The per-pair functions ``rwmd_q``/``rwmd_d``/``rwmd_max`` are the
-reference definitions.  :func:`rwmd_many` computes the same values for
-one question against many documents given as vocabulary rows, with one
-matrix product against the sorted union of those rows (the
-linear-complexity RWMD of Atasu et al., 2017); reranking uses it.  The
-union is found in time proportional to the rows in play, whatever the
-vocabulary's size, and its squared norms are read from the store's
-``row_sq_norms``, which hold the bits the Gram expansion would compute.
+reference definitions.  :func:`rwmd_batch`, which reranking uses,
+computes the same values for a batch of questions, each against its own
+documents, all given as vocabulary rows: one matrix product per question
+against the sorted union of its documents' rows (the linear-complexity
+RWMD of Atasu et al., 2017).  The union is found in time proportional to
+the rows in play, whatever the vocabulary's size, and the squared norms
+are read from the store's ``row_sq_norms``, which hold the bits the Gram
+expansion would compute.  The product stays per question: a product's
+bits depend on its operands' shapes, so one over a wider union or over
+more question rows would change the distances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -113,59 +116,83 @@ def rwmd_max(q: EmbeddedText, d: EmbeddedText) -> float:
 SCORERS = {"rwmd_q": rwmd_q, "rwmd_d": rwmd_d, "rwmd_max": rwmd_max}
 
 
-def rwmd_many(q: EmbeddedText, docs: Sequence[np.ndarray], store: EmbeddingStore,
-              method: str = "rwmd_q") -> np.ndarray:
-    """``SCORERS[method](q, d)`` for every document ``d``, as a float64 array.
+def rwmd_batch(q_rows: np.ndarray, q_bounds: np.ndarray, doc_rows: np.ndarray,
+               slot_lo: np.ndarray, slot_hi: np.ndarray, slot_bounds: np.ndarray,
+               store: EmbeddingStore, method: str = "rwmd_q") -> np.ndarray:
+    """``SCORERS[method](q, d)`` for every (question, document) slot of a
+    batch, as one flat float64 array in slot order.
 
-    ``q`` is a question's vocabulary rows of ``store`` with their float64
-    vectors, as :func:`embed_text` gives them; each document is given by
-    its vocabulary rows (:meth:`EmbeddingStore.rows`).  One Gram
-    expansion against the sorted union U of those rows gives the squared
-    distance from every question word to every word in play, with a
-    question word's own row pinned to 0.  rwmd_q is then a per-document
-    segment minimum over U's columns, and rwmd_d the column minimum over
-    question words, summed per document word with multiplicity.
+    Question i is the vocabulary rows ``q_rows[q_bounds[i]:q_bounds[i +
+    1]]`` of ``store``, and its slots are ``slot_bounds[i]:slot_bounds[i +
+    1]``; slot s holds the document ``doc_rows[slot_lo[s]:slot_hi[s]]``.
+    The questions' float64 vectors are gathered once.  Each question then
+    takes one Gram expansion against the sorted union U of its documents'
+    rows, which gives the squared distance from every question word to
+    every word in play, with a question word's own row pinned to 0.
+    rwmd_q is a per-document segment minimum over U's columns, and rwmd_d
+    the column minimum over question words, summed per document word with
+    multiplicity; rwmd_max takes both, and each is computed only when
+    ``method`` reads it.
     """
     if method not in SCORERS:
         raise ValueError(f"unknown rwmd method {method!r}; expected one of {sorted(SCORERS)}")
-    lengths = np.array([len(rows) for rows in docs], dtype=np.intp)
-    filled = np.flatnonzero(lengths)
-    # The empty-side values: an empty source sums to 0, and an empty
-    # target gives +inf.  Pairs with both sides filled are overwritten
-    # below; empty documents stay out, as reduceat cannot take an empty
-    # segment.
-    to_q = np.full(len(docs), np.inf if len(q) else 0.0)
-    to_d = np.where(lengths > 0, np.inf, 0.0)
-    if len(q) and filled.size:
-        rows = np.concatenate([docs[i] for i in filled])
+    lengths = slot_hi - slot_lo
+    # Slot s's rows start at offsets[s] in the concatenation of all slots'.
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    at = np.arange(np.diff(offsets[slot_bounds]).max(initial=0))
+    # The pairs with an empty side keep these values: an empty source sums
+    # to 0, and an empty target gives +inf.
+    to_q = np.full(lengths.size, np.inf) if method != "rwmd_d" else None
+    to_d = np.where(lengths > 0, np.inf, 0.0) if method != "rwmd_q" else None
+    q_matrix = store.matrix[q_rows].astype(np.float64)
+    q_norms = store.row_sq_norms[q_rows]
+    col_of = np.empty(len(store), dtype=np.intp)
+    for (lo, hi), (a, b) in zip(itertools.pairwise(q_bounds.tolist()),
+                                itertools.pairwise(slot_bounds.tolist())):
+        if lo == hi:
+            if to_q is not None:
+                to_q[a:b] = 0.0
+            continue
+        # Empty documents stay out, as reduceat cannot take an empty segment.
+        filled = a + np.flatnonzero(lengths[a:b])
+        if not filled.size:
+            continue
+        starts = offsets[filled] - offsets[a]
+        pos = at[:offsets[b] - offsets[a]]
+        # As intp, so the indexing below does not convert them each time.
+        rows = doc_rows[np.repeat(slot_lo[filled] - starts, lengths[filled]) + pos].astype(
+            np.intp, copy=False)
         # U and each row's column in it, as np.unique(rows,
         # return_inverse=True) gives them, sorting only the distinct rows
         # and in time that does not grow with the vocabulary: each row
-        # writes its position into an uninitialized array over the
-        # vocabulary; of a repeated row, just the one position the writes
-        # leave there (whichever it is) reads back as its own.  Only the
-        # rows in play are written or read.
-        col_of = np.empty(len(store), dtype=np.intp)
-        at = np.arange(rows.size)
-        col_of[rows] = at
-        union = np.sort(rows[col_of[rows] == at])
-        col_of[union] = np.arange(union.size)
+        # writes its position into the uninitialized col_of; of a repeated
+        # row, just the one position the writes leave there (whichever it
+        # is) reads back as its own.  Only the rows in play are written or
+        # read.
+        col_of[rows] = pos
+        union = np.sort(rows[col_of[rows] == pos])
+        col_of[union] = at[:union.size]
         cols = col_of[rows]
-        starts = np.concatenate(([0], np.cumsum(lengths[filled])[:-1]))
-        # Squared distances via the Gram expansion, as in _directed_sum,
-        # with U's squared norms read from the store.
-        u = store.matrix[union].astype(np.float64)
-        q2 = np.einsum("ij,ij->i", q.matrix, q.matrix)
-        sq = q2[:, None] + store.row_sq_norms[union][None, :] - 2.0 * (q.matrix @ u.T)
-        sq[q.rows[:, None] == union[None, :]] = 0.0
-        # The segment minima run down the rows of sq's transpose, which
-        # is faster than across its columns; a minimum does not round, and
-        # the sum below sees sq's layout again.
-        seg_min = np.minimum.reduceat(np.ascontiguousarray(sq.T).take(cols, axis=0), starts)
-        seg_min = np.ascontiguousarray(seg_min.T)
-        to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
-        col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
-        to_d[filled] = np.add.reduceat(col_min[cols], starts)
+        # Squared distances by the Gram expansion (q2 + u2) - 2G, with the
+        # squared norms read from the store.
+        gram = q_matrix[lo:hi] @ store.matrix[union].astype(np.float64).T
+        gram *= 2.0
+        sq = np.add.outer(q_norms[lo:hi], store.row_sq_norms[union])
+        sq -= gram
+        # A word present on both sides has true distance exactly 0; pin it
+        # so cancellation noise from the expansion cannot leak in.
+        q_slice = q_rows[lo:hi]
+        shared = np.minimum(np.searchsorted(union, q_slice), union.size - 1)
+        hit = np.flatnonzero(union[shared] == q_slice)
+        sq[hit, shared[hit]] = 0.0
+        if to_q is not None:
+            # Minima along the rows of U's columns taken in slot order; the
+            # (question word x document) result is summed down its columns.
+            seg_min = np.minimum.reduceat(sq.take(cols, axis=1), starts, axis=1)
+            to_q[filled] = np.sqrt(np.maximum(seg_min, 0.0)).sum(axis=0)
+        if to_d is not None:
+            col_min = np.sqrt(np.maximum(sq.min(axis=0), 0.0))
+            to_d[filled] = np.add.reduceat(col_min[cols], starts)
     if method == "rwmd_q":
         return to_q
     if method == "rwmd_d":

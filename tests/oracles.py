@@ -4,7 +4,7 @@ Everything here is written with plain loops, deliberately sharing no code
 or vectorization strategy with the package, so agreement is meaningful.
 The one exception is :func:`brute_rwmd_many`, the package's earlier
 vectorized RWMD kernel, kept as the slow path its faster successor must
-match bit for bit.
+match bit for bit; :func:`brute_rerank` reranks with it.
 """
 
 import heapq
@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from centroid_ir import DimensionMismatch, ParseError
+from centroid_ir import DimensionMismatch, EmbeddedText, ParseError
 
 # Letters and digits only: \w minus the underscore, Unicode-aware.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -202,9 +202,10 @@ def brute_load_embeddings(path):
                 raise DimensionMismatch(
                     f"{path}: line {line_no}: expected {dim} components, got {len(components)}"
                 )
+            if "\r" in line.split(None, 1)[1].rstrip("\n").removesuffix("\r"):
+                raise ParseError("carriage return among the vector components",
+                                 line_no=line_no, path=path)
             try:
-                if "\r" in line.split(None, 1)[1].rstrip("\n").removesuffix("\r"):
-                    raise ValueError("a CR inside a vector")
                 values = [float(c) for c in components]
             except ValueError:
                 raise ParseError("vector component is not a number",
@@ -251,7 +252,10 @@ def brute_compute_idf(token_lists):
 
 
 def brute_rwmd_many(q, docs, store, method="rwmd_q"):
-    """``rwmd_many`` as it was before the vocabulary mask and cached norms.
+    """One question's ``SCORERS[method]`` distance to each of ``docs`` (each
+    given by its vocabulary rows) as a float64 array, by the package's
+    per-question kernel as it was before the vocabulary mask, the cached
+    norms and the batch kernel.
 
     The union of the documents' rows and each row's column in it come
     from ``np.unique(..., return_inverse=True)``, both sides' squared
@@ -280,3 +284,28 @@ def brute_rwmd_many(q, docs, store, method="rwmd_q"):
     if method == "rwmd_d":
         return to_d
     return np.maximum(to_q, to_d)
+
+
+def brute_rerank(run, questions, docs, store, method="rwmd_q", stopwords=frozenset(),
+                 depth=None):
+    """``rerank(run, questions, docs, ...).per_question`` from records, one
+    question and one :func:`brute_rwmd_many` call at a time.
+
+    ``questions`` maps qid to text and ``docs`` doc id to record; a text's
+    rows are ``store.rows`` of its :func:`brute_tokenize` tokens.  Each
+    question's top ``depth`` entries are ordered by (distance, doc_id),
+    and the rest follow in their original order.
+    """
+    per_question = {}
+    for qid, entries in run.per_question.items():
+        if not entries:
+            per_question[qid] = []
+            continue
+        rows = store.rows(brute_tokenize(questions[qid], stopwords))
+        q = EmbeddedText(rows=rows, matrix=store.matrix[rows].astype(np.float64))
+        head = [doc_id for doc_id, _ in entries[:depth]]
+        doc_rows = [store.rows(brute_tokenize(docs[doc_id].text, stopwords)) for doc_id in head]
+        dists = brute_rwmd_many(q, doc_rows, store, method).tolist()
+        per_question[qid] = ([(doc_id, dist) for dist, doc_id in sorted(zip(dists, head))]
+                             + list(entries[len(head):]))
+    return per_question

@@ -217,6 +217,16 @@ class TestLoaderMatchesBruteParser:
         assert str(got.value) == str(want.value)
         assert list(tmp_path.iterdir()) == [path]  # no cache, no temporary file
 
+    @pytest.mark.parametrize("name, line_no", [
+        ("lone-cr", 1), ("lone-cr-int-tokens", 1), ("cr-inside-vector", 2), ("cr-then-space", 1)])
+    def test_cr_among_numbers_is_named(self, tmp_path, name, line_no):
+        # The numbers are fine; the CR that splits them is what is wrong.
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(_malformed_files()[name].encode("utf-8"))
+        with pytest.raises(ParseError, match="carriage return among the vector components") as exc:
+            load_embeddings(path)
+        assert exc.value.line_no == line_no
+
 
 def _forge_cache(path, n_rows, dim, lengths, text, matrix):
     """Write ``path``'s cache with the given body and the right hashes."""

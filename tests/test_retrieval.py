@@ -12,7 +12,7 @@ from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
 from centroid_ir.index import _SCAN_RATIO, load_index, save_index
 from centroid_ir.rwmd import SCORERS
 from centroid_ir.text import words
-from oracles import brute_rwmd_many
+from oracles import brute_rerank
 from stores import make_store, random_store
 
 STOP = frozenset({"the", "of", "and"})
@@ -414,7 +414,7 @@ class TestRerankFromIndex:
 
     @pytest.mark.parametrize("depth", [None, 3, 9, 100])
     @pytest.mark.parametrize("method", sorted(SCORERS))
-    def test_equals_records_path(self, case, method, depth, monkeypatch):
+    def test_equals_records_path(self, case, method, depth):
         store, docs, questions, index, run = case
         from_index = rerank(run, questions, index, store, method=method, stopwords=STOP,
                             depth=depth)
@@ -423,10 +423,11 @@ class TestRerankFromIndex:
         assert from_index.tag == from_records.tag
         assert from_index.per_question == from_records.per_question
         assert from_index["q00"] == from_index["lonely"] == []
-        # ... and both equal the kernel the mask-based rwmd_many replaced.
-        monkeypatch.setattr("centroid_ir.retrieval.rwmd_many", brute_rwmd_many)
-        slow = rerank(run, questions, docs, store, method=method, stopwords=STOP, depth=depth)
-        assert slow.per_question == from_records.per_question
+        # ... and both equal reranking one question at a time by the
+        # per-question kernel that the batch kernel replaced.
+        slow = brute_rerank(run, {q.qid: q.text for q in questions}, docs, store,
+                            method=method, stopwords=STOP, depth=depth)
+        assert slow == from_records.per_question
 
     def test_reads_no_text(self, case, monkeypatch):
         store, docs, questions, index, run = case

@@ -236,10 +236,12 @@ class TestQuestions:
         "embeddings"])
 def test_undecodable_input_names_the_file(tmp_path, reader):
     # Valid lines, then a byte that cannot start a UTF-8 sequence.  The
-    # codec's offset is into the chunk it decoded, so no line is given.
+    # embedding parser decodes a line at a time and names the line; the
+    # other readers decode by chunk, whose offset is not the file's, so
+    # they give no line.
     path = tmp_path / "input.txt"
     path.write_bytes(b"a 0.5 0.5\n" * 3 + b"\xff\n")
     with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as exc:
         reader(path)
     assert str(exc.value).startswith(f"{path}: ")
-    assert exc.value.line_no is None
+    assert exc.value.line_no == (4 if reader is load_embeddings else None)

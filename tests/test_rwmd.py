@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from centroid_ir import (DimensionMismatch, EmbeddingStore, embed_text, rwmd_d,
-                         rwmd_max, rwmd_q)
-from centroid_ir.rwmd import SCORERS, EmbeddedText, rwmd_many
+from centroid_ir import (DimensionMismatch, DocumentRecord, EmbeddingStore,
+                         build_corpus_index, embed_text, rwmd_d, rwmd_max, rwmd_q,
+                         tokenize)
+from centroid_ir.rwmd import SCORERS, EmbeddedText, rwmd_batch
 from oracles import brute_rwmd_many
-from stores import random_store, stacked_rows
+from stores import random_store
 
 
 def embedded(*pairs, dim=2):
@@ -169,58 +170,159 @@ class TestEmbeddedTextShape:
             EmbeddedText(rows=[[0, 1]], matrix=np.zeros((2, 2)))
 
 
+STOP = frozenset({"the", "of"})
+
+
+def permuted_store(rng, n_words, dim):
+    """A random store whose rows are a permutation of its vocab's order."""
+    words = [f"w{i}" for i in range(n_words)]
+    return EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(n_words))},
+                          rng.normal(size=(n_words, dim)).astype(np.float32))
+
+
+def batch_rwmd(source, store, docs, questions, heads, method):
+    """``rwmd_batch`` over per-question heads of doc ids, with the documents'
+    rows read as ``rerank`` reads them from ``source``: from "index", the
+    rows a corpus index keeps; from "records", the distinct head
+    documents' texts mapped in one call (in id order, not head order).
+    Returns the flat distances and the questions' slot bounds."""
+    if source == "index":
+        index = build_corpus_index(docs.values(), store, mode="cent", stopwords=STOP)
+        place = {doc_id: i for i, doc_id in enumerate(index.doc_ids.tolist())}
+        rows, bounds = index.rows, index.bounds
+    else:
+        ids = sorted({doc_id for head in heads for doc_id in head})
+        place = {doc_id: i for i, doc_id in enumerate(ids)}
+        rows, bounds = store.text_rows((docs[doc_id].text for doc_id in ids), STOP)
+    slots = np.array([place[doc_id] for head in heads for doc_id in head], dtype=np.intp)
+    slot_bounds = np.cumsum([0, *map(len, heads)])
+    q_rows, q_bounds = store.text_rows(questions, STOP)
+    got = rwmd_batch(q_rows, q_bounds, rows, bounds[slots], bounds[slots + 1], slot_bounds,
+                     store, method)
+    return got, slot_bounds
+
+
+def assert_matches_brute(source, store, docs, questions, heads, method):
+    """The batch kernel's distances equal ``brute_rwmd_many``'s, question by
+    question, bit for bit; returns them per question."""
+    got, slot_bounds = batch_rwmd(source, store, docs, questions, heads, method)
+    assert got.dtype == np.float64 and got.shape == (slot_bounds[-1],)
+    per_question = []
+    for text, head, a, b in zip(questions, heads, slot_bounds[:-1], slot_bounds[1:]):
+        q = embed_text(tokenize(text, STOP), store)
+        want = brute_rwmd_many(q, [store.rows(tokenize(docs[doc_id].text, STOP))
+                                   for doc_id in head], store, method)
+        assert got[a:b].tobytes() == want.tobytes(), (text, head)
+        per_question.append(dict(zip(head, got[a:b].tolist())))
+    return per_question
+
+
+SOURCES = ["records", "index"]
+
+
 class TestRwmdManyMatchesBrute:
-    """rwmd_many against the np.unique kernel it replaced, bit for bit."""
-
-    @staticmethod
-    def permuted_store(rng, n_words, dim):
-        words = [f"w{i}" for i in range(n_words)]
-        return EmbeddingStore({w: int(r) for w, r in zip(words, rng.permutation(n_words))},
-                              rng.normal(size=(n_words, dim)).astype(np.float32))
-
-    @staticmethod
-    def random_docs(rng, store, n_docs):
-        words = list(store.vocab)
-        docs = []
-        for _ in range(n_docs):
-            kind = rng.integers(6)
-            if kind == 0:
-                tokens = []                                   # an empty document
-            elif kind == 1:
-                tokens = ["oov"] * int(rng.integers(1, 4))    # all out of vocabulary
-            else:                                             # repeats likely
-                tokens = rng.choice(words[:int(rng.integers(2, len(words) + 1))],
-                                    size=int(rng.integers(1, 30))).tolist() + ["oov"]
-            docs.append(store.rows(tokens))
-        return docs
+    """rwmd_batch, each question against many documents, bit for bit
+    against the per-question np.unique kernel it replaced, from records and
+    from an index."""
 
     @pytest.mark.parametrize("method", sorted(SCORERS))
     @pytest.mark.parametrize("depth", [None, 3, 9])
     def test_random_stores(self, method, depth):
         rng = np.random.default_rng(43)
-        for _ in range(60):
-            store = self.permuted_store(rng, int(rng.integers(3, 80)), int(rng.integers(1, 40)))
+        for _ in range(30):
+            store = permuted_store(rng, int(rng.integers(3, 80)), int(rng.integers(1, 40)))
             words = list(store.vocab)
-            # The questions' vectors come from one gather, sliced per question.
-            questions = [rng.choice(words, size=int(rng.integers(0, 8))).tolist()
+            docs = {}
+            for i in range(int(rng.integers(1, 15))):
+                kind = rng.integers(6)
+                if kind == 0:
+                    tokens = []                                   # an empty document
+                elif kind == 1:
+                    tokens = ["oov"] * int(rng.integers(1, 4))    # all out of vocabulary
+                else:                                             # repeats likely
+                    tokens = rng.choice(words[:int(rng.integers(2, len(words) + 1))],
+                                        size=int(rng.integers(1, 30))).tolist() + ["oov"]
+                docs[f"d{i:02d}"] = DocumentRecord(f"d{i:02d}", "", " ".join(tokens))
+            questions = [" ".join(rng.choice(words, size=int(rng.integers(0, 20))))
                          for _ in range(4)]
-            q_rows, q_bounds = stacked_rows(store, questions)
-            q_matrix = store.matrix[q_rows].astype(np.float64)
-            docs = self.random_docs(rng, store, int(rng.integers(0, 15)))[:depth]
-            for lo, hi in zip(q_bounds[:-1], q_bounds[1:]):
-                q = EmbeddedText(rows=q_rows[lo:hi], matrix=q_matrix[lo:hi])
-                got = rwmd_many(q, docs, store, method)
-                want = brute_rwmd_many(q, docs, store, method)
-                assert got.dtype == want.dtype == np.float64
-                assert got.tobytes() == want.tobytes()
+            # Each head is drawn from one pool, so documents recur across heads.
+            heads = [rng.permutation(sorted(docs))[:int(rng.integers(0, len(docs) + 1))]
+                     .tolist()[:depth] for _ in questions]
+            for source in SOURCES:
+                assert_matches_brute(source, store, docs, questions, heads, method)
 
     def test_question_of_repeated_shared_words(self):
+        store = permuted_store(np.random.default_rng(47), 10, 4)
+        docs = {doc_id: DocumentRecord(doc_id, "", text) for doc_id, text in
+                [("one", "w1"), ("two", "w2 w2 w3"), ("empty", ""), ("both", "w1 w2")]}
+        for source in SOURCES:
+            for method in SCORERS:
+                got, = assert_matches_brute(source, store, docs, ["w1 w1 w2 oov"],
+                                            [list(docs)], method)
+                if method == "rwmd_d":
+                    assert [got["one"], got["both"]] == [0.0, 0.0]
+
+    def test_no_questions(self):
+        store = permuted_store(np.random.default_rng(48), 5, 3)
+        got, _ = batch_rwmd("records", store, {}, [], [], "rwmd_max")
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    def test_unknown_method(self):
+        store = permuted_store(np.random.default_rng(49), 5, 3)
+        with pytest.raises(ValueError, match="unknown rwmd method"):
+            batch_rwmd("records", store, {}, [], [], "rwmd")
+
+
+class TestRwmdBatchEdgeCases:
+    """rwmd_batch on the awkward questions and heads, bit for bit against
+    the per-question kernel, from records and from an index."""
+
+    @pytest.fixture
+    def corpus(self):
         rng = np.random.default_rng(47)
-        store = self.permuted_store(rng, 10, 4)
-        q = embed_text(["w1", "w1", "w2", "oov"], store)
-        docs = [store.rows(["w1"]), store.rows(["w2", "w2", "w3"]), store.rows([]),
-                store.rows(["w1", "w2"])]
-        for method in SCORERS:
-            got = rwmd_many(q, docs, store, method)
-            assert got.tobytes() == brute_rwmd_many(q, docs, store, method).tobytes()
-        assert rwmd_many(q, docs, store, "rwmd_d")[[0, 3]].tolist() == [0.0, 0.0]
+        store = permuted_store(rng, 30, 6)
+        by_row = {row: word for word, row in store.vocab.items()}
+        first, last = by_row[0], by_row[len(store) - 1]
+        docs = {f"d{i:02d}": " ".join(rng.choice(list(store.vocab), size=rng.integers(1, 9)))
+                for i in range(12)}
+        docs.update({"empty": "", "oov": "zzz qqq", "stop": "the of",
+                     "edge": f"{first} {last} {first}", "share": "w3 w7 w7"})
+        docs = {doc_id: DocumentRecord(doc_id, "", text) for doc_id, text in docs.items()}
+        questions = {"none": "qqq zzz", "blank": "", "one": "w3", "repeat": "w7 w7 w3 w7",
+                     "shared": "w7 w3", "edges": f"{last} {first}", "r1": "w1 w5 w9 w12",
+                     "r2": "w2 w4 w4 w20 w29",
+                     # Past 8 terms numpy sums a contiguous run pairwise, so
+                     # a sum along another layout would round differently.
+                     "long": " ".join(rng.choice(list(store.vocab), size=20))}
+        heads = {}
+        for qid in questions:
+            # Empty documents at the start, in the middle and at the end;
+            # "edge" and "share" are in every head.
+            middle = ["edge", "share", *rng.permutation([f"d{i:02d}" for i in range(12)])]
+            middle.insert(5, "oov")
+            heads[qid] = ["empty", *middle, "stop"]
+        return store, docs, questions, heads
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("depth", [None, 1, 4, 9])
+    @pytest.mark.parametrize("method", sorted(SCORERS))
+    def test_edge_cases(self, corpus, source, method, depth):
+        store, docs, questions, heads = corpus
+        cut = [heads[qid][:depth] for qid in questions]
+        got = dict(zip(questions, assert_matches_brute(source, store, docs,
+                                                       list(questions.values()), cut, method)))
+        # A question with no in-vocabulary word: it sums to 0 towards any
+        # document, and a filled document sums to +inf towards it.
+        for qid in ("none", "blank"):
+            for doc_id, dist in got[qid].items():
+                empty = doc_id in ("empty", "oov", "stop")
+                want_d = 0.0 if empty else float("inf")
+                assert dist == {"rwmd_q": 0.0, "rwmd_d": want_d, "rwmd_max": want_d}[method]
+        if depth is None or depth > 2:
+            # Shared words are pinned to exactly 0, rows 0 and V-1 included.
+            zeros = [("shared", "share"), ("edges", "edge"), ("repeat", "share")]
+            if method == "rwmd_q":  # every question word is in the document
+                zeros.append(("one", "share"))
+            assert [got[qid][doc_id] for qid, doc_id in zeros] == [0.0] * len(zeros)
+        assert got["one"]["empty"] == {"rwmd_q": float("inf"), "rwmd_d": 0.0,
+                                       "rwmd_max": float("inf")}[method]
