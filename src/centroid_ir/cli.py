@@ -19,13 +19,13 @@ from . import embeddings as emb
 from . import evaluation as ev
 from .corpus import iter_corpus, load_corpus
 from .errors import ConfigMismatch, EngineError, EvaluationError, ParseError, open_text
-from .index import (DEFAULT_LEAF_CAP, DEFAULT_SEED, DEFAULT_TREES,
+from .index import (DEFAULT_LEAF_CAP, DEFAULT_SEED, DEFAULT_TREES, MODES,
                     load_index, save_index)
-from .retrieval import (DEFAULT_K, build_corpus_index, hybrid, load_questions,
+from .retrieval import (DEFAULT_K, ENGINES, build_corpus_index, hybrid, load_questions,
                         rerank, retrieve)
 from .runs import read_run, write_run
 from .rwmd import SCORERS
-from .text import default_stopwords, load_stopwords
+from .text import load_stopwords
 
 
 def _log(message: str) -> None:
@@ -121,9 +121,7 @@ _REQUIRED = object()
 
 
 def _load_stopword_set(ns):
-    if getattr(ns, "stopwords", None):
-        return load_stopwords(ns.stopwords)
-    return default_stopwords()
+    return load_stopwords(ns.stopwords) if ns.stopwords else None
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -257,8 +255,8 @@ def _build_parser():
     c.opt("--embeddings", required=True, help="text embedding file")
     c.opt("--corpus", required=True, help="JSON-lines corpus (id/title/abstract)")
     c.opt("--out", required=True, help="output index file")
-    c.opt("--mode", default="centidf", choices=["cent", "centidf"])
-    c.opt("--engine", default="ann", choices=["exact", "ann"])
+    c.opt("--mode", default="centidf", choices=list(MODES))
+    c.opt("--engine", default="ann", choices=list(ENGINES))
     c.opt("--trees", type=int, default=DEFAULT_TREES)
     c.opt("--leaf-cap", type=int, default=DEFAULT_LEAF_CAP)
     c.opt("--seed", type=int, default=DEFAULT_SEED)
@@ -273,8 +271,8 @@ def _build_parser():
     c.opt("--embeddings", required=True)
     c.opt("--questions", required=True, help="JSON-lines questions (id/text)")
     c.opt("--out", required=True, help="output TREC run file")
-    c.opt("--mode", choices=["cent", "centidf"], help="default: recorded with index")
-    c.opt("--engine", choices=["exact", "ann"], help="default: ann when a forest exists")
+    c.opt("--mode", choices=list(MODES), help="default: recorded with index")
+    c.opt("--engine", choices=list(ENGINES), help="default: ann when a forest exists")
     c.opt("--k", type=int, default=DEFAULT_K)
     c.opt("--search-k", type=int, help="candidate budget (default 10*trees*k)")
     c.opt("--rerank", default="none", choices=["none", *sorted(SCORERS)])

@@ -25,8 +25,8 @@ an index was built from.
 :func:`load_embeddings` parses a text file once: it writes the store,
 as the canonical bytes the fingerprint hashes, to a cache ``<path>.crvs``
 beside it, keyed by the text's SHA-256, and a later load of the same
-bytes reads that cache instead of the text.  A parse reads the text a
-line at a time through :func:`_lines`, which hashes and decodes each line.
+bytes reads that cache instead of the text.  Both passes of a parse read
+the text through :func:`_vector_lines`, the one owner of its line grammar.
 """
 
 from __future__ import annotations
@@ -104,10 +104,11 @@ class EmbeddingStore:
                           count=len(distinct))
         return _gather(lut, ids, bounds)
 
-    def text_rows(self, texts: Iterable[str],
-                  stopwords: frozenset[str] | set[str]) -> tuple[np.ndarray, np.ndarray]:
+    def text_rows(self, texts: Iterable[str], stopwords: frozenset[str] | set[str] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
         """Each text's ``rows(tokenize(text, stopwords))``, concatenated, and
-        the texts' bounds in them; the texts are read once."""
+        the texts' bounds in them; the texts are read once.  ``stopwords``
+        None is the bundled list."""
         return self.id_rows(*text_ids(texts, stopwords))
 
     @cached_property
@@ -197,11 +198,12 @@ def _gather(lut: np.ndarray, ids: np.ndarray, bounds: np.ndarray) -> tuple[np.nd
     return np.delete(found, missing), bounds - np.searchsorted(missing, bounds)
 
 
-def text_ids(texts: Iterable[str],
-             stopwords: frozenset[str] | set[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+def text_ids(texts: Iterable[str], stopwords: frozenset[str] | set[str] | None = None
+             ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The distinct words of ``texts`` that :func:`~centroid_ir.text.tokenize`
     keeps, in first-seen order; their ids (indices into that list) in text
-    order; and each text's bounds in the ids.  The texts are read once."""
+    order; and each text's bounds in the ids.  The texts are read once, and
+    :func:`~centroid_ir.text.kept` reads ``stopwords=None`` as the bundled list."""
     numbers, ids, bounds = _numbered(map(words, texts))
     kept_words = kept(numbers, stopwords)
     lut = np.full(len(numbers), -1, np.intp)
@@ -347,6 +349,35 @@ def _lines(path, digest) -> Iterator[tuple[int, str]]:
             yield line_no, text
 
 
+def _vector_lines(path, digest, header: list[int]) -> Iterator[tuple[int, str, str]]:
+    """The vector lines of an embedding file, read through :func:`_lines`, as
+    (line number, token, rest of the line).  Blank lines are skipped; a first
+    non-blank line of two integers is the header ``V D``, appended to
+    ``header``.  A negative one in it, or a token with nothing after it,
+    raises :class:`ParseError`."""
+    at_header = True
+    for line_no, line in _lines(path, digest):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if at_header:
+            at_header = False
+            try:
+                n_vectors, dim = map(int, line.split())
+            except ValueError:
+                pass
+            else:
+                if n_vectors < 0 or dim < 0:
+                    raise ParseError("header count and dimension must not be negative",
+                                     line_no=line_no, path=path)
+                header += n_vectors, dim
+                continue
+        if len(parts) < 2:
+            raise ParseError("expected a token followed by vector components",
+                             line_no=line_no, path=path)
+        yield line_no, parts[0], parts[1]
+
+
 def _parse_embeddings(path, digest) -> EmbeddingStore:
     """Parse a text embedding file into an :class:`EmbeddingStore`, feeding
     every byte read to the hash ``digest``.
@@ -354,53 +385,39 @@ def _parse_embeddings(path, digest) -> EmbeddingStore:
     Format: UTF-8 lines, each ending at an LF; a CR before the LF is
     whitespace, so CRLF files parse alike, and a CR anywhere else in a
     vector makes its line bad.  An optional first header line ``V D``
-    (two integers), then one line per word: the token followed by D
-    decimal floats, whitespace separated.  The dimension is taken from
-    the header or inferred from the first vector line; later occurrences
-    of a word win, at the row of its first occurrence.  A header's V must
-    equal the number of vector lines.  Numbers are read by numpy's text
-    parser in one streaming pass over :func:`_lines`; a file it rejects
-    is read again through :func:`_lines`, only to name the first bad
-    line in the error.
+    (two non-negative integers), then one line per word: the token
+    followed by D decimal floats, whitespace separated.  The dimension is
+    taken from the header or inferred from the first vector line; later
+    occurrences of a word win, at the row of its first occurrence.  A
+    header's V must equal the number of vector lines.  :func:`_vector_lines`
+    owns the line grammar; numbers are read by numpy's text parser in one
+    streaming pass over it.  A file that either rejects is read again, only
+    to name the first bad line in the error.
     """
     tokens: list[str] = []
-    n_header: int | None = None
-    dim: int | None = None
+    header: list[int] = []
 
-    def remainders(lines):
-        nonlocal n_header, dim
-        for line_no, line in lines:
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            if not tokens and dim is None:
-                fields = line.split()
-                if len(fields) == 2 and _both_ints(fields):
-                    n_header, dim = int(fields[0]), int(fields[1])
-                    if n_header < 0 or dim < 0:
-                        raise ParseError("header count and dimension must not be negative",
-                                         line_no=line_no, path=path)
-                    continue
-            if len(parts) < 2:
-                raise ValueError("token without vector components")
-            tokens.append(parts[0])
-            yield parts[1]
+    def numbers():
+        for _, token, rest in _vector_lines(path, digest, header):
+            tokens.append(token)
+            yield rest
 
     matrix = None
-    rows = remainders(_lines(path, digest))
+    rows = numbers()
     try:
         first = next(rows, None)
         if first is not None:
             matrix = np.loadtxt(itertools.chain([first], rows), dtype=np.float32,
                                 comments=None, ndmin=2)
-    except ValueError:
-        _raise_first_bad_line(path)
+    except (ValueError, ParseError):
+        _raise_first_bad_line(path, header[1] if header else None)
+    n_header, dim = header or (None, None)
     if matrix is None:
         if dim is None:
             raise ParseError("embedding file contains no header and no vectors", path=path)
         matrix = np.zeros((0, dim), dtype=np.float32)
     elif (dim is not None and matrix.shape[1] != dim) or not np.isfinite(matrix).all():
-        _raise_first_bad_line(path)
+        _raise_first_bad_line(path, dim)
     if n_header is not None and n_header != len(tokens):
         raise ParseError(f"header announces {n_header} vectors, file has {len(tokens)}",
                          path=path)
@@ -410,26 +427,16 @@ def _parse_embeddings(path, digest) -> EmbeddingStore:
     return EmbeddingStore({token: row for row, token in enumerate(last_line)}, matrix)
 
 
-def _raise_first_bad_line(path) -> NoReturn:
-    """Scan an embedding file numpy rejected and raise for its first bad line."""
-    dim: int | None = None
-    for line_no, line in _lines(path, hashlib.sha256()):
-        fields = line.split()
-        if not fields:
-            continue
-        if dim is None and len(fields) == 2 and _both_ints(fields):
-            dim = int(fields[1])
-            continue
-        if len(fields) < 2:
-            raise ParseError("expected a token followed by vector components",
-                             line_no=line_no, path=path)
+def _raise_first_bad_line(path, dim: int | None) -> NoReturn:
+    """Read an embedding file the parse rejected again, from its header's
+    dimension ``dim`` (None: the first vector's), and raise for its first bad line."""
+    for line_no, _, rest in _vector_lines(path, hashlib.sha256(), []):
+        n_numbers = len(rest.split())
         if dim is None:
-            dim = len(fields) - 1
-        elif len(fields) - 1 != dim:
+            dim = n_numbers
+        elif n_numbers != dim:
             raise DimensionMismatch(
-                f"{path}: line {line_no}: expected {dim} components, got {len(fields) - 1}"
-            )
-        rest = line.split(None, 1)[1]
+                f"{path}: line {line_no}: expected {dim} components, got {n_numbers}")
         try:
             vec = np.loadtxt([rest], dtype=np.float32, comments=None, ndmin=2)
         except ValueError:
@@ -443,14 +450,6 @@ def _raise_first_bad_line(path) -> NoReturn:
         if not np.isfinite(vec).all():
             raise ParseError("vector component is not finite", line_no=line_no, path=path)
     raise ParseError("embedding file could not be parsed", path=path)
-
-
-def _both_ints(fields: list[str]) -> bool:
-    try:
-        int(fields[0]), int(fields[1])
-    except ValueError:
-        return False
-    return True
 
 
 def save_idf(path, idf: dict[str, float], n_docs: int) -> None:

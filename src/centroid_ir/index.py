@@ -225,6 +225,11 @@ class CentroidIndex:
     def n_trees(self) -> int:
         return len(self.forest)
 
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Document id -> its row, built on first use and kept."""
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids.tolist())}
+
     def _unit_query(self, q) -> np.ndarray | None:
         """Normalize a query (Centroid or vector); None for a zero query.
 

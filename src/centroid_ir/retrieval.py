@@ -38,7 +38,7 @@ from .errors import ConfigMismatch, DuplicateId, ParseError, StateError, Unknown
 from .index import MODES, CentroidIndex
 from .runs import RankedRun
 from .rwmd import SCORERS, embed_text, rwmd_batch  # noqa: F401
-from .text import default_stopwords, tokenize  # noqa: F401
+from .text import tokenize  # noqa: F401
 
 DEFAULT_K = 1000
 
@@ -81,7 +81,7 @@ def _check_store(index: CentroidIndex, store: EmbeddingStore) -> None:
 
 
 def retrieve(
-    questions: Iterable[Question],
+    questions: Iterable[Question] | Mapping[str, Question | str],
     index: CentroidIndex,
     store: EmbeddingStore,
     mode: str = "centidf",
@@ -94,21 +94,24 @@ def retrieve(
     """Map the questions to vocabulary rows, take their centroids, and
     fetch each one's top k.
 
-    All questions are mapped to the rows of their tokens in one call
-    (:meth:`EmbeddingStore.text_rows`), and each centroid is taken from
-    its slice as :func:`centroid_idf` or :func:`centroid_simple` takes
-    it, bit for bit.  A question whose centroid is zero (all tokens out
-    of vocabulary or stop words) gets an empty list rather than an
-    arbitrary ranking.  ``k`` and ``search_k`` must be at least 1.  Mode
-    "centidf" weights questions by ``index.idf_rows``, as the documents
-    were weighted; an index without them takes the store's, raising
-    :class:`StateError` if there are none.  Engine "ann" on an index
-    without a forest raises :class:`StateError` at the first question,
-    even one whose centroid is zero.  Raises :class:`DuplicateId` for a
-    repeated question id, and :class:`ConfigMismatch` when the index
-    records a centroid mode other than the one requested or a store
-    fingerprint that ``store`` does not match.  ``threads`` is accepted for
-    callers that still pass it and must be at least 1; it has no effect.
+    ``questions`` is :class:`Question` objects or a mapping of qid ->
+    :class:`Question` or text, answered in batch order under ``str(qid)``;
+    ``stopwords`` None is the bundled list.  All questions are mapped to the
+    rows of their tokens in one call (:meth:`EmbeddingStore.text_rows`), and
+    each centroid is taken from its slice as :func:`centroid_idf` or
+    :func:`centroid_simple` takes it, bit for bit.  A question whose
+    centroid is zero (all tokens out of vocabulary or stop words) gets an
+    empty list rather than an arbitrary ranking.  ``k`` and ``search_k``
+    must be at least 1.  Mode "centidf" weights questions by
+    ``index.idf_rows``, as the documents were weighted; an index without
+    them takes the store's, raising :class:`StateError` if there are none.
+    Engine "ann" on an index without a forest raises :class:`StateError` at
+    the first question, even one whose centroid is zero.  Raises
+    :class:`DuplicateId` for a qid repeated after ``str()``, and
+    :class:`ConfigMismatch` when the index records a centroid mode other
+    than the one requested or a store fingerprint that ``store`` does not
+    match.  ``threads`` is accepted for callers that still pass it and must
+    be at least 1; it has no effect.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -122,8 +125,6 @@ def retrieve(
     if index.mode is not None and index.mode != mode:
         raise ConfigMismatch(
             f"index was built with {index.mode!r} centroids, queried with {mode!r}")
-    if stopwords is None:
-        stopwords = default_stopwords()
     texts = _question_texts(questions)
     _check_store(index, store)
     idf_rows = None
@@ -143,7 +144,7 @@ def retrieve(
 
 def rerank(
     run: RankedRun,
-    questions,
+    questions: Iterable[Question] | Mapping[str, Question | str],
     documents: Mapping[str, DocumentRecord] | CentroidIndex,
     store: EmbeddingStore,
     method: str = "rwmd_q",
@@ -153,15 +154,15 @@ def rerank(
 ) -> RankedRun:
     """Reorder each question's documents by ascending relaxed WMD.
 
-    The document set per question is preserved exactly; only the order
-    and the scores change (scores become distances).  ``depth`` limits
-    reranking to the top so-many documents, leaving the tail in its
-    original order behind them; it must be at least 1.  A question list
-    that repeats an id raises :class:`DuplicateId`.
-    Ties break by ascending doc_id;
-    texts with no in-vocabulary tokens score +inf and sink to the bottom.
-    ``threads`` is accepted for callers that still pass it and must be at
-    least 1; it has no effect.
+    The document set per question is preserved exactly; only the order and
+    the scores change (scores become distances).  ``depth`` limits reranking
+    to the top so-many documents, leaving the tail in its original order
+    behind them; it must be at least 1.  ``questions`` and ``stopwords`` are
+    read as :func:`retrieve` reads them, and a qid repeated after ``str()``
+    raises :class:`DuplicateId`.  Ties break by ascending doc_id; texts with
+    no in-vocabulary tokens score +inf and sink to the bottom.  ``threads``
+    is accepted for callers that still pass it and must be at least 1; it
+    has no effect.
 
     ``documents`` is either an index that carries its documents'
     vocabulary rows, as :func:`build_corpus_index` makes it, or a mapping
@@ -182,9 +183,7 @@ def rerank(
         raise ValueError(f"rerank depth must be at least 1, got {depth}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if stopwords is None:
-        stopwords = default_stopwords()
-    question_texts = _as_question_map(questions)
+    question_texts = _question_texts(questions)
 
     active_qids = [qid for qid, entries in run.per_question.items() if entries]
     missing_q = [qid for qid in active_qids if qid not in question_texts]
@@ -195,9 +194,7 @@ def rerank(
         if documents.rows is None:
             raise StateError("index carries no document rows to rerank by")
         _check_store(documents, store)
-        known = {doc_id: i for i, doc_id in enumerate(documents.doc_ids.tolist())}
-    else:
-        known = documents
+    known = documents.row_of if from_index else documents
     missing_d = {
         doc_id
         for qid in active_qids
@@ -235,20 +232,19 @@ def rerank(
     return RankedRun(tag=tag, per_question=per_question)
 
 
-def _question_texts(questions: Iterable[Question]) -> dict[str, str]:
-    """qid -> text in question order; :class:`DuplicateId` for a repeated qid."""
-    texts: dict[str, str] = {}
-    for q in questions:
-        if q.qid in texts:
-            raise DuplicateId(f"duplicate question id {q.qid!r} in batch")
-        texts[q.qid] = q.text
-    return texts
-
-
-def _as_question_map(questions) -> dict[str, str]:
+def _question_texts(questions) -> dict[str, str]:
+    """``str(qid)`` -> text in batch order, from Question objects or a mapping
+    of qid -> Question or text; :class:`DuplicateId` for a qid repeated after ``str()``."""
     if isinstance(questions, Mapping):
-        return {str(qid): getattr(q, "text", q) for qid, q in questions.items()}
-    return _question_texts(questions)
+        pairs = ((str(qid), getattr(q, "text", q)) for qid, q in questions.items())
+    else:
+        pairs = ((str(q.qid), q.text) for q in questions)
+    texts: dict[str, str] = {}
+    for qid, text in pairs:
+        if qid in texts:
+            raise DuplicateId(f"duplicate question id {qid!r} in batch")
+        texts[qid] = text
+    return texts
 
 
 def hybrid(primary_run: RankedRun, fallback_run: RankedRun) -> RankedRun:
@@ -285,8 +281,6 @@ def build_corpus_index(
     :func:`retrieve` no store IDF, and a different store is caught.
     """
     _check_mode(mode)  # before any work
-    if stopwords is None:
-        stopwords = default_stopwords()
     centidf = mode == "centidf"
     doc_ids: list[str] = []
 

@@ -4,10 +4,11 @@ Every document and question is read through the rules here before any
 vector arithmetic, so they pin down the vocabulary seen by the rest of
 the pipeline.  The rules are deliberately simple and reproducible:
 lowercase, split on anything that is not a letter or digit (:func:`words`),
-drop stop words and single-digit tokens (:func:`kept`).  No stemming, no
-lemmatization.  :func:`tokenize` applies both to one text, the per-text
-reference; :func:`~centroid_ir.embeddings.text_ids`, which maps every
-text of the pipeline, applies :func:`kept` once per distinct word.
+drop stop words, by default the bundled :func:`default_stopwords`, and
+single-digit tokens (:func:`kept`).  No stemming, no lemmatization.
+:func:`tokenize` applies both to one text, the per-text reference, with no
+stop words by default; :func:`~centroid_ir.embeddings.text_ids`, which maps
+every text of the pipeline, applies :func:`kept` once per distinct word.
 
 A separator is any character for which ``str.isalnum()`` is false (the
 regular expression ``[^\\W_]+`` picks out the same tokens).  The split is
@@ -48,9 +49,11 @@ def words(text: str) -> list[str]:
     return text.lower().translate(_SEPARATORS).split()
 
 
-def kept(tokens: Iterable[str], stopwords: frozenset[str] | set[str]) -> list[str]:
+def kept(tokens: Iterable[str], stopwords: frozenset[str] | set[str] | None = None) -> list[str]:
     """The ``tokens`` that :func:`tokenize` keeps, in order: all but stop
-    words and pure-digit tokens of length 1."""
+    words (None: :func:`default_stopwords`) and pure-digit tokens of length 1."""
+    if stopwords is None:
+        stopwords = default_stopwords()
     return [t for t in tokens if t not in stopwords and not (len(t) == 1 and t.isdigit())]
 
 

@@ -99,6 +99,20 @@ class TestLoadEmbeddings:
             load_embeddings(_write(tmp_path, content))
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("content, want", [
+        (b"a nan 1\n\xff\n", "line 1: vector component is not finite"),
+        (b"2 3\na 1 2\n\xff\n", "line 2: expected 3 components"),
+        (b"a 1 2\n\xff\nb nan 1\n", "line 2: not UTF-8 text"),
+    ], ids=["not-finite-first", "too-few-for-header-first", "undecodable-first"])
+    def test_undecodable_line_after_another_fault(self, tmp_path, content, want):
+        # Whichever line comes first is named, also where numpy finds the
+        # fault only after its pass (a value not finite, a count other than
+        # the header's) and the undecodable line stops that pass first.
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content)
+        with pytest.raises((ParseError, DimensionMismatch), match=want):
+            load_embeddings(path)
+
 
 def _random_lines(rng, n, dim, words):
     """Vector lines whose components span float32's range, with 17 digits."""
@@ -163,6 +177,11 @@ def _malformed_files():
         "lone-cr-int-tokens": "5 2\r7 3\r",  # not the vector 5 = (2, 7, 3)
         "cr-inside-vector": "a 1 2\nb 3\r4\n",
         "cr-then-space": "a 1 2\r \n",
+        # A token-only line among other faults: the first in file order is named.
+        "token-only-then-bad-number": "a 1 2\nb\nc 3 x\n",
+        "bad-number-then-token-only": "a 1 2\nb 3 x\nc\n",
+        "nan-then-token-only": "a 1 2\nb 3 nan\nc\n",
+        "too-few-for-header-then-token-only": "2 3\na 1 2\nb\n",
     }
 
 

@@ -7,11 +7,12 @@ import pytest
 from centroid_ir import (CentroidIndex, ConfigMismatch, DocumentRecord,
                          DuplicateId, EmbeddingStore, Question, RankedRun,
                          StateError, UnknownIds, build_corpus_index,
-                         centroid_idf, centroid_simple, embed_text, hybrid,
-                         rerank, retrieve, tokenize)
+                         centroid_idf, centroid_simple, default_stopwords,
+                         embed_text, hybrid, rerank, retrieve, tokenize)
+from centroid_ir.embeddings import text_ids
 from centroid_ir.index import _SCAN_RATIO, load_index, save_index
 from centroid_ir.rwmd import SCORERS
-from centroid_ir.text import words
+from centroid_ir.text import kept, words
 from oracles import brute_rerank
 from stores import make_store, random_store
 
@@ -394,6 +395,11 @@ def corpus_case(seed: int):
     return store, docs, questions
 
 
+class _UnlistableIds(np.ndarray):
+    def tolist(self):
+        raise AssertionError("document ids listed again")
+
+
 class TestRerankFromIndex:
     """Reranking from index rows returns what reranking from records does."""
 
@@ -452,6 +458,13 @@ class TestRerankFromIndex:
         bare = CentroidIndex.from_matrix(index.doc_ids, index.unit_matrix, mode=index.mode)
         with pytest.raises(StateError, match="no document rows"):
             rerank(run, questions, bare, store, stopwords=STOP)
+
+    def test_ids_are_mapped_to_rows_once(self, case):
+        store, docs, questions, index, run = case
+        want = rerank(run, questions, index, store, stopwords=STOP)
+        # A second call reads the index's id -> row map, not its ids.
+        index.doc_ids = index.doc_ids.view(_UnlistableIds)
+        assert rerank(run, questions, index, store, stopwords=STOP) == want
 
     def test_other_store_rejected(self, case):
         store, docs, questions, index, run = case
@@ -516,6 +529,77 @@ class TestBatchedRetrieve:
         other.set_idf(store.idf, store.n_docs)
         with pytest.raises(ConfigMismatch, match="differ"):
             retrieve(questions, index, other, mode=mode, stopwords=STOP)
+
+
+class TestQuestionBatches:
+    """retrieve and rerank read a batch by one rule: Question objects, or a
+    mapping of qid -> Question or text, in batch order under ``str(qid)``."""
+
+    @pytest.mark.parametrize("form", [
+        iter,
+        lambda qs: {q.qid: q.text for q in qs},
+        lambda qs: {q.qid: Question("ignored", q.text) for q in qs},  # the key names it
+    ], ids=["questions", "texts", "question-map"])
+    def test_every_form_gives_equal_runs(self, form):
+        store, docs, questions = corpus_case(99)
+        index = build_corpus_index(docs.values(), store, mode="centidf", stopwords=STOP)
+        want = retrieve(questions, index, store, k=10, stopwords=STOP)
+        run = retrieve(form(questions), index, store, k=10, stopwords=STOP)
+        assert run == want
+        assert list(run.per_question) == [q.qid for q in questions]
+        for documents in (index, docs):
+            assert rerank(run, form(questions), documents, store, stopwords=STOP) == \
+                rerank(want, questions, documents, store, stopwords=STOP)
+
+    @pytest.mark.parametrize("batch", [
+        [Question("1", "w1"), Question("1", "w2")],
+        {1: "w2", "1": "w1"},
+        {"1": Question("1", "w1"), 1: Question("1", "w2")},
+    ], ids=["questions", "texts", "question-map"])
+    def test_qid_repeated_after_str_rejected(self, batch):
+        store, docs, _ = corpus_case(99)
+        index = build_corpus_index(docs.values(), store, mode="centidf", stopwords=STOP)
+        with pytest.raises(DuplicateId, match="'1'"):
+            retrieve(batch, index, store, stopwords=STOP)
+        run = RankedRun(tag="x", per_question={"1": [("d001", 1.0)]})
+        with pytest.raises(DuplicateId, match="'1'"):
+            rerank(run, batch, docs, store, stopwords=STOP)
+
+
+STOP_TEXTS = ["the cell of the gene", "of the", "gene 7 of cells", ""]
+
+
+def _through(entry: str, stopwords):
+    """What ``entry`` makes of STOP_TEXTS under ``stopwords``, comparable by ==."""
+    store = make_store({"the": [1.0, 0.0, 0.0], "of": [0.0, 1.0, 0.0], "cell": [0.0, 0.0, 1.0],
+                        "gene": [1.0, 1.0, 0.0], "cells": [0.0, 1.0, 1.0]})
+    if entry == "kept":
+        return kept(words(" ".join(STOP_TEXTS)), stopwords)
+    if entry == "text_ids":
+        distinct, ids, bounds = text_ids(STOP_TEXTS, stopwords)
+        return distinct, ids.tolist(), bounds.tolist()
+    if entry == "text_rows":
+        return [a.tolist() for a in store.text_rows(STOP_TEXTS, stopwords)]
+    docs = {f"d{i}": DocumentRecord(f"d{i}", "", t) for i, t in enumerate(STOP_TEXTS)}
+    if entry == "build_corpus_index":
+        index = build_corpus_index(docs.values(), store, mode="cent", stopwords=stopwords)
+        return index.rows.tolist(), index.unit_matrix.tolist()
+    index = build_corpus_index(docs.values(), store, mode="cent", stopwords=frozenset())
+    questions = [Question(f"q{i}", t) for i, t in enumerate(STOP_TEXTS)]
+    run = retrieve(questions, index, store, mode="cent", stopwords=stopwords)
+    if entry == "retrieve":
+        return run
+    return rerank(run, questions, docs, store, stopwords=stopwords)
+
+
+@pytest.mark.parametrize("entry", ["kept", "text_ids", "text_rows", "build_corpus_index",
+                                   "retrieve", "rerank"])
+def test_stopwords_none_is_the_bundled_list(entry):
+    assert {"the", "of"} <= default_stopwords()
+    assert _through(entry, None) == _through(entry, default_stopwords())
+    # An empty set drops no word, as a set of words the texts lack does.
+    assert _through(entry, frozenset()) == _through(entry, frozenset({"zzz"})) \
+        != _through(entry, None)
 
 
 class TestIndexOwnsIdf:
